@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <ctime>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string_view>
 #include <utility>
@@ -24,10 +25,13 @@
 #include "dhcp/wire.hpp"
 #include "netcore/ipv6.hpp"
 #include "netcore/obs/flight_recorder.hpp"
+#include "netcore/obs/json.hpp"
 #include "netcore/obs/log.hpp"
+#include "netcore/obs/memaccount.hpp"
 #include "netcore/obs/metrics.hpp"
 #include "netcore/obs/profiler.hpp"
 #include "netcore/obs/timeseries.hpp"
+#include "netcore/obs/trace.hpp"
 #include "netcore/parallel.hpp"
 #include "isp/presets.hpp"
 #include "sim/cause_ledger.hpp"
@@ -271,7 +275,7 @@ BENCHMARK(BM_EventEngine)->Arg(100)->Arg(1000);
 template <typename Queue>
 std::int64_t event_workload(std::int64_t total_events,
                             std::int64_t concurrent) {
-    Queue queue;
+    Queue queue(net::TimePoint{0});
     rng::Stream rng(5);
     std::int64_t fired = 0;
     std::function<void(net::TimePoint)> tick = [&](net::TimePoint t) {
@@ -311,7 +315,7 @@ void BM_EventEngineCancelHeavy(benchmark::State& state) {
     // before they fire (lease renewals superseded by reconnects). Cancel
     // is an O(1) tombstone; the wheel reclaims slots lazily.
     for (auto _ : state) {
-        sim::EventQueue queue;
+        sim::EventQueue queue(net::TimePoint{0});
         rng::Stream rng(11);
         std::vector<sim::EventId> pending;
         std::int64_t fired = 0;
@@ -342,7 +346,7 @@ void BM_EventEnginePeriodic(benchmark::State& state) {
     // re-armed in place for a simulated week. One slot per probe for the
     // whole run — no per-firing allocation at all.
     for (auto _ : state) {
-        sim::EventQueue queue;
+        sim::EventQueue queue(net::TimePoint{0});
         std::int64_t fired = 0;
         const std::int64_t horizon = 7 * 86400;
         std::vector<sim::EventId> ids;
@@ -654,6 +658,60 @@ void BM_QuickScenarioProfiled(benchmark::State& state) {
     obs::clear_profile();
 }
 BENCHMARK(BM_QuickScenarioProfiled)->Unit(benchmark::kMillisecond);
+
+// -- scale ladder ---------------------------------------------------------------
+//
+// The quick preset at growing CPE populations (scaled_scenario; k-root
+// off): the event cost per simulated event should stay flat as the world
+// grows. Counters: ns_per_event over the scenario.sim_run span, events,
+// the per-phase spans in ms, and the process's peak RSS in MiB (a
+// lifetime high-water mark, so run the ladder alone to read it per rung;
+// the rungs run smallest first).
+
+/// Total duration (ms) of each collected trace span, by name.
+std::map<std::string, double> trace_span_ms() {
+    std::ostringstream out;
+    obs::write_trace_json(out);
+    std::map<std::string, double> totals;
+    if (const auto doc = obs::json_parse(out.str()))
+        if (const auto* events = doc->find("traceEvents"))
+            for (const auto& event : events->array)
+                totals[event.string_or("name", "")] +=
+                    event.number_or("dur", 0) / 1000.0;
+    return totals;
+}
+
+void BM_ScenarioLadder(benchmark::State& state) {
+    const auto config = isp::presets::scaled_scenario(
+        isp::presets::quick_scenario(), int(state.range(0)));
+    double sim_ms = 0, build_ms = 0, emit_ms = 0;
+    std::uint64_t events = 0;
+    obs::enable_trace();
+    for (auto _ : state) {
+        obs::clear_trace();
+        const auto scenario = isp::run_scenario(config);
+        benchmark::DoNotOptimize(scenario.sim_events);
+        auto spans = trace_span_ms();
+        sim_ms += spans["scenario.sim_run"];
+        build_ms += spans["scenario.build"];
+        emit_ms += spans["scenario.emit"];
+        events += scenario.sim_events;
+    }
+    obs::disable_trace();
+    obs::clear_trace();
+    const double runs = double(state.iterations());
+    state.counters["ns_per_event"] = events > 0 ? sim_ms * 1e6 / double(events) : 0;
+    state.counters["events"] = double(events) / runs;
+    state.counters["sim_run_ms"] = sim_ms / runs;
+    state.counters["build_ms"] = build_ms / runs;
+    state.counters["emit_ms"] = emit_ms / runs;
+    state.counters["peak_rss_mb"] =
+        double(obs::process_peak_rss_bytes()) / (1024.0 * 1024.0);
+}
+BENCHMARK(BM_ScenarioLadder)
+    ->ArgName("quick")
+    ->Arg(1)->Arg(20)->Arg(200)
+    ->Unit(benchmark::kMillisecond);
 
 // -- sharded pipeline: thread-count comparison --------------------------------
 //

@@ -1,6 +1,7 @@
 #include "core/outages.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -228,30 +229,47 @@ std::vector<OutageOutcome> outage_outcomes(const ProbeLog& log,
 
 namespace {
 
+/// The per-probe runs of `records`; nullopt when a probe's records are
+/// not contiguous.
 template <typename Record>
-std::map<atlas::ProbeId, std::span<const Record>> split_by_probe(
+std::optional<std::map<atlas::ProbeId, std::span<const Record>>> probe_runs(
     std::span<const Record> records) {
     std::map<atlas::ProbeId, std::span<const Record>> out;
     std::size_t i = 0;
     while (i < records.size()) {
         std::size_t j = i;
         while (j < records.size() && records[j].probe == records[i].probe) ++j;
-        out.emplace(records[i].probe, records.subspan(i, j - i));
+        if (!out.emplace(records[i].probe, records.subspan(i, j - i)).second)
+            return std::nullopt;
         i = j;
     }
     return out;
 }
 
+template <typename Record>
+std::map<atlas::ProbeId, std::span<const Record>> split_by_probe(
+    std::span<const Record> records, std::vector<Record>& storage) {
+    if (auto runs = probe_runs(records)) return std::move(*runs);
+    storage.assign(records.begin(), records.end());
+    std::stable_sort(storage.begin(), storage.end(),
+                     [](const Record& a, const Record& b) {
+                         return a.probe < b.probe;
+                     });
+    return *probe_runs(std::span<const Record>(storage));
+}
+
 }  // namespace
 
 std::map<atlas::ProbeId, std::span<const atlas::KRootPingRecord>>
-split_kroot_by_probe(std::span<const atlas::KRootPingRecord> records) {
-    return split_by_probe(records);
+split_kroot_by_probe(std::span<const atlas::KRootPingRecord> records,
+                     std::vector<atlas::KRootPingRecord>& storage) {
+    return split_by_probe(records, storage);
 }
 
 std::map<atlas::ProbeId, std::span<const atlas::UptimeRecord>>
-split_uptime_by_probe(std::span<const atlas::UptimeRecord> records) {
-    return split_by_probe(records);
+split_uptime_by_probe(std::span<const atlas::UptimeRecord> records,
+                      std::vector<atlas::UptimeRecord>& storage) {
+    return split_by_probe(records, storage);
 }
 
 }  // namespace dynaddr::core

@@ -123,10 +123,17 @@ std::vector<OutageOutcome> outage_outcomes(
     const ProbeLog& log, std::span<const DetectedOutage> outages,
     net::Duration slack = net::Duration::seconds(300));
 
-/// Convenience: split a (probe,time)-sorted dataset into per-probe spans.
+/// Splits a dataset into per-probe spans, each probe's records in input
+/// order. The spans point into `records` when each probe's records are
+/// contiguous (a sorted dataset); otherwise into `storage`, which then
+/// holds a copy stable-sorted by probe. A bundle read back from a .dab
+/// written live by the simulator is in emission order, which interleaves
+/// probes.
 std::map<atlas::ProbeId, std::span<const atlas::KRootPingRecord>>
-split_kroot_by_probe(std::span<const atlas::KRootPingRecord> records);
+split_kroot_by_probe(std::span<const atlas::KRootPingRecord> records,
+                     std::vector<atlas::KRootPingRecord>& storage);
 std::map<atlas::ProbeId, std::span<const atlas::UptimeRecord>>
-split_uptime_by_probe(std::span<const atlas::UptimeRecord> records);
+split_uptime_by_probe(std::span<const atlas::UptimeRecord> records,
+                      std::vector<atlas::UptimeRecord>& storage);
 
 }  // namespace dynaddr::core

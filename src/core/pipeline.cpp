@@ -263,8 +263,11 @@ AnalysisResults AnalysisPipeline::run_reference(
     if (bundle.kroot_pings.empty() && bundle.uptime_records.empty())
         return results;
 
-    const auto kroot = split_kroot_by_probe(bundle.kroot_pings);
-    const auto uptime = split_uptime_by_probe(bundle.uptime_records);
+    std::vector<atlas::KRootPingRecord> kroot_storage;
+    std::vector<atlas::UptimeRecord> uptime_storage;
+    const auto kroot = split_kroot_by_probe(bundle.kroot_pings, kroot_storage);
+    const auto uptime =
+        split_uptime_by_probe(bundle.uptime_records, uptime_storage);
 
     // Parallel stage: reboot detection, one shard per probe with uptime
     // data. Shard-order concatenation reproduces the sequential map walk.

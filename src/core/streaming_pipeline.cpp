@@ -384,13 +384,15 @@ void StreamingPipeline::feed_bundle(const atlas::DatasetBundle& bundle) {
     // Metadata first: classification and versioning read it at finalize.
     for (const auto& meta : bundle.probes) feed_metadata(meta);
 
-    // The reference pipeline's own grouping helpers, so its quirks carry
-    // over exactly: group_by_probe sorts each probe's entries, and the
-    // split maps keep only the *first* contiguous run of an out-of-order
-    // probe.
+    // The reference pipeline's own grouping helpers, so its behaviour
+    // carries over exactly: group_by_probe sorts each probe's entries, and
+    // the split maps group interleaved k-root/uptime records by probe.
     auto logs = group_by_probe(bundle.connection_log);
-    const auto kroot = split_kroot_by_probe(bundle.kroot_pings);
-    const auto uptime = split_uptime_by_probe(bundle.uptime_records);
+    std::vector<atlas::KRootPingRecord> kroot_storage;
+    std::vector<atlas::UptimeRecord> uptime_storage;
+    const auto kroot = split_kroot_by_probe(bundle.kroot_pings, kroot_storage);
+    const auto uptime =
+        split_uptime_by_probe(bundle.uptime_records, uptime_storage);
 
     auto log_it = logs.begin();
     auto kroot_it = kroot.begin();

@@ -64,7 +64,6 @@ void Server::crash(bool amnesia) {
                             sim::CauseSite::DhcpAmnesiaCrash, now);
             leases_.revoke(lease.client);
             pool_->release(lease.client);
-            hold_started_.erase(lease.client);
             absent_since_[lease.client] = now;
         }
         DYNADDR_LOG(Warn, dhcp, "server crashed with lease-state amnesia");
@@ -159,24 +158,22 @@ RequestResult Server::handle_renew(pool::ClientId client, net::IPv4Address addr)
     if (!online_) throw Error("DHCP exchange with offline server");
     dhcp_metrics().renew.inc();
     expire_leases();
-    auto lease = leases_.find(client);
-    if (!lease || lease->address != addr) return RequestResult{};
+    const auto tenure = leases_.tenure(client);
+    if (!tenure || tenure->lease.address != addr) return RequestResult{};
+    const net::TimePoint now = sim_->now();
     // Administrative renumbering: the whole block was retired; evict.
     if (pool_->is_retired(addr)) {
         sim::cause_note(client, sim::CauseKind::AdminRenumbering,
-                        sim::CauseSite::DhcpRetiredPrefix, sim_->now());
+                        sim::CauseSite::DhcpRetiredPrefix, now);
         return evict(client);
     }
-    if (config_.max_address_age) {
-        const auto started_it = hold_started_.find(client);
-        if (started_it != hold_started_.end() &&
-            sim_->now() + config_.lease_duration - started_it->second >
-                jittered_max_age(client, started_it->second)) {
-            // Administrative age cap: refuse to extend past it.
-            sim::cause_note(client, sim::CauseKind::MaxAgeEviction,
-                            sim::CauseSite::DhcpMaxAge, sim_->now());
-            return evict(client);
-        }
+    if (config_.max_address_age &&
+        now + config_.lease_duration - tenure->held_since >
+            jittered_max_age(client, tenure->held_since)) {
+        // Administrative age cap: refuse to extend past it.
+        sim::cause_note(client, sim::CauseKind::MaxAgeEviction,
+                        sim::CauseSite::DhcpMaxAge, now);
+        return evict(client);
     }
     return grant(client, addr);
 }
@@ -189,7 +186,6 @@ RequestResult Server::evict(pool::ClientId client) {
     leases_.revoke(client);
     pool_->release(client);
     pool_->forget_binding(client);
-    hold_started_.erase(client);
     absent_since_[client] = sim_->now();
     return RequestResult{};
 }
@@ -200,7 +196,6 @@ void Server::handle_release(pool::ClientId client) {
     expire_leases();
     if (leases_.revoke(client)) {
         pool_->release(client);
-        hold_started_.erase(client);
         absent_since_[client] = sim_->now();
     }
 }
@@ -213,9 +208,10 @@ RequestResult Server::grant(pool::ClientId client, net::IPv4Address addr) {
     const net::TimePoint now = sim_->now();
     pool::Lease lease{client, addr, now, now + config_.lease_duration};
     leases_.grant(lease);
-    hold_started_.try_emplace(client, now);
     absent_since_.erase(client);
-    schedule_expiry_sweep();
+    // Every lease runs lease_duration from its grant, so this one expires
+    // no earlier than any other and a pending sweep is still early enough.
+    if (!sweep_event_) schedule_expiry_sweep();
     dhcp_metrics().ack.inc();
     return RequestResult{true, addr, lease.granted, lease.expiry};
 }
@@ -224,7 +220,6 @@ void Server::expire_leases() {
     for (const auto& lease : leases_.expire_until(sim_->now())) {
         dhcp_metrics().expired.inc();
         pool_->release(lease.client);
-        hold_started_.erase(lease.client);
         absent_since_[lease.client] = lease.expiry;
     }
 }

@@ -101,9 +101,6 @@ private:
     pool::AddressPool* pool_;
     sim::Simulation* sim_;
     pool::LeaseDb leases_;
-    /// When each client's current continuous hold of an address began;
-    /// used for the administrative age cap.
-    std::unordered_map<pool::ClientId, net::TimePoint> hold_started_;
     /// When a client's lease last expired/released, for the churn model.
     std::unordered_map<pool::ClientId, net::TimePoint> absent_since_;
     std::optional<sim::EventId> sweep_event_;

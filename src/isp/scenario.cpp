@@ -499,16 +499,12 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
                  atlas::SpecialBehaviour::TestingAddressThenStable, {});
 
     // -- RADIUS ground truth ------------------------------------------------
-    {
-        std::size_t server_index = 0;
-        for (std::size_t i = 0; i < config.isps.size(); ++i) {
-            (void)server_index;
-            for (const auto& backend : backends[i]) {
-                if (backend.radius == nullptr) continue;
-                auto& sink = result.radius_records[config.isps[i].asn];
-                const auto& records = backend.radius->records();
-                sink.insert(sink.end(), records.begin(), records.end());
-            }
+    for (std::size_t i = 0; i < config.isps.size(); ++i) {
+        for (const auto& backend : backends[i]) {
+            if (backend.radius == nullptr) continue;
+            auto& sink = result.radius_records[config.isps[i].asn];
+            const auto& records = backend.radius->records();
+            sink.insert(sink.end(), records.begin(), records.end());
         }
     }
 

@@ -151,10 +151,24 @@ void LeaseDb::maybe_grow() {
     }
 }
 
-void LeaseDb::heap_push(HeapEntry entry) {
-    heap_.push_back(entry);
-    std::push_heap(heap_.begin(), heap_.end(),
-                   [](const HeapEntry& a, const HeapEntry& b) { return a.after(b); });
+void LeaseDb::heap_queue(const ClientSlot& slot) {
+    const auto after = [](const HeapEntry& a, const HeapEntry& b) {
+        return a.after(b);
+    };
+    slot.queued_seq = slot.seq;
+    if (heap_.size() > 4 * live_ + 64) {
+        // Mostly stale: rebuild from the live records.
+        heap_.clear();
+        for (const ClientSlot& live : clients_) {
+            if (live.state != SlotState::Occupied) continue;
+            heap_.push_back({live.lease.expiry, live.seq, live.lease.client});
+            live.queued_seq = live.seq;
+        }
+        std::make_heap(heap_.begin(), heap_.end(), after);
+        return;
+    }
+    heap_.push_back({slot.lease.expiry, slot.seq, slot.lease.client});
+    std::push_heap(heap_.begin(), heap_.end(), after);
 }
 
 void LeaseDb::heap_settle() const {
@@ -164,22 +178,37 @@ void LeaseDb::heap_settle() const {
     while (!heap_.empty()) {
         const HeapEntry& top = heap_.front();
         const ClientSlot* slot = client_slot(top.client);
-        if (slot && slot->seq == top.seq) break;  // live
-        std::pop_heap(heap_.begin(), heap_.end(), after);
-        heap_.pop_back();
-    }
-    if (heap_.size() > 4 * live_ + 64) {
-        // Mostly stale: rebuild from the live records.
-        heap_.clear();
-        for (const ClientSlot& slot : clients_) {
-            if (slot.state != SlotState::Occupied) continue;
-            heap_.push_back({slot.lease.expiry, slot.seq, slot.lease.client});
+        if (!slot || slot->queued_seq != top.seq) {  // stale
+            std::pop_heap(heap_.begin(), heap_.end(), after);
+            heap_.pop_back();
+        } else if (slot->seq != top.seq) {  // refreshed since queued: re-key
+            const ClientId client = top.client;
+            std::pop_heap(heap_.begin(), heap_.end(), after);
+            heap_.back() = {slot->lease.expiry, slot->seq, client};
+            slot->queued_seq = slot->seq;
+            std::push_heap(heap_.begin(), heap_.end(), after);
+        } else {
+            break;  // current
         }
-        std::make_heap(heap_.begin(), heap_.end(), after);
     }
 }
 
 void LeaseDb::grant(const Lease& lease) {
+    if (ClientSlot* held = client_slot(lease.client);
+        held && held->lease.address == lease.address) {
+        // Same (client, address): rewrite the record in place; the address
+        // index already maps it. The queued heap entry still sorts no
+        // later than the new terms unless the expiry moved earlier.
+        const bool earlier = lease.expiry < held->lease.expiry;
+        held->lease = lease;
+        held->seq = next_seq_++;
+        if (earlier) {
+            heap_queue(*held);
+            sync_gauge();
+        }
+        lease_metrics().granted.inc();
+        return;
+    }
     if (const AddrSlot* taken = addr_slot(lease.address);
         taken && taken->client != lease.client)
         throw Error("address " + lease.address.to_string() +
@@ -187,11 +216,12 @@ void LeaseDb::grant(const Lease& lease) {
     maybe_grow();
     ClientSlot& slot = client_slot_for_insert(lease.client);
     if (slot.state == SlotState::Occupied) {
-        // Refresh: drop the previous address mapping; the old heap entry
-        // goes stale with the new sequence number.
+        // Move to a new address: drop the previous address mapping; the
+        // old heap entry goes stale with the new sequence number.
         addr_slot_erase(slot.lease.address);
     } else {
         slot.state = SlotState::Occupied;
+        slot.held_since = lease.granted;
         ++live_;
     }
     slot.lease = lease;
@@ -200,7 +230,7 @@ void LeaseDb::grant(const Lease& lease) {
     addr.state = SlotState::Occupied;
     addr.addr = lease.address;
     addr.client = lease.client;
-    heap_push({lease.expiry, slot.seq, lease.client});
+    heap_queue(slot);
     lease_metrics().granted.inc();
     sync_gauge();
 }
@@ -223,6 +253,12 @@ std::optional<Lease> LeaseDb::find(ClientId client) const {
     return slot->lease;
 }
 
+std::optional<LeaseDb::Tenure> LeaseDb::tenure(ClientId client) const {
+    const ClientSlot* slot = client_slot(client);
+    if (!slot) return std::nullopt;
+    return Tenure{slot->lease, slot->held_since};
+}
+
 std::optional<Lease> LeaseDb::find_by_address(net::IPv4Address addr) const {
     const AddrSlot* slot = addr_slot(addr);
     if (!slot) return std::nullopt;
@@ -234,6 +270,8 @@ std::vector<Lease> LeaseDb::expire_until(net::TimePoint now) {
     const auto after = [](const HeapEntry& a, const HeapEntry& b) {
         return a.after(b);
     };
+    // Every live lease has an entry, so a later top means nothing is due.
+    if (heap_.empty() || heap_.front().expiry > now) return expired;
     heap_settle();
     while (!heap_.empty() && heap_.front().expiry <= now) {
         const ClientId client = heap_.front().client;

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "netcore/ipv4.hpp"
@@ -27,10 +28,13 @@ struct Lease {
 /// Storage is a pair of open-addressing tables (client -> lease record,
 /// address -> client) with linear probing, plus a binary min-heap over
 /// (expiry, grant sequence) for the expiry index. Heap entries are
-/// invalidated lazily: each grant stamps the record with a fresh sequence
-/// number, and stale heap entries are skipped on pop. Expiry order is by
-/// expiry time with ties in grant order — exactly the old std::multimap
-/// semantics (see ReferenceLeaseDb, the differential-test oracle).
+/// maintained lazily: each grant stamps the record with a fresh sequence
+/// number, and stale heap entries are skipped on pop. A refresh of the
+/// same (client, address) that moves the expiry later pushes nothing: the
+/// record's queued entry still sorts no later than its new terms and is
+/// re-keyed when it reaches the top. Expiry order is by expiry time with
+/// ties in grant order — exactly the old std::multimap semantics (see
+/// ReferenceLeaseDb, the differential-test oracle).
 class LeaseDb {
 public:
     LeaseDb();
@@ -40,7 +44,17 @@ public:
     LeaseDb(const LeaseDb&) = delete;
     LeaseDb& operator=(const LeaseDb&) = delete;
 
-    /// Inserts or refreshes the lease for (client, address). Throws Error
+    /// A client's active lease and the start of its tenure: the grant
+    /// that created the record. Refreshes and renewals keep the start; it
+    /// resets only after the lease is revoked or expires.
+    struct Tenure {
+        Lease lease;
+        net::TimePoint held_since;
+    };
+
+    /// Inserts or refreshes the lease for (client, address). A refresh of
+    /// the address the client already holds (a DHCP renewal) rewrites its
+    /// record in place and leaves the address index alone. Throws Error
     /// when the address is actively leased to a different client.
     void grant(const Lease& lease);
 
@@ -49,6 +63,9 @@ public:
 
     /// The client's active lease.
     [[nodiscard]] std::optional<Lease> find(ClientId client) const;
+
+    /// The client's active lease with its tenure start.
+    [[nodiscard]] std::optional<Tenure> tenure(ClientId client) const;
 
     /// The lease on an address.
     [[nodiscard]] std::optional<Lease> find_by_address(net::IPv4Address addr) const;
@@ -69,7 +86,12 @@ private:
 
     struct ClientSlot {
         Lease lease;
-        std::uint64_t seq = 0;  ///< grant sequence; matches live heap entry
+        net::TimePoint held_since;  ///< tenure start (see Tenure)
+        std::uint64_t seq = 0;  ///< grant sequence of the current terms
+        /// Sequence of the heap entry standing for this record; its key is
+        /// never later than (lease.expiry, seq). Heap bookkeeping, hence
+        /// mutable like the heap.
+        mutable std::uint64_t queued_seq = 0;
         SlotState state = SlotState::Empty;
     };
 
@@ -91,6 +113,9 @@ private:
     };
 
     [[nodiscard]] const ClientSlot* client_slot(ClientId client) const;
+    [[nodiscard]] ClientSlot* client_slot(ClientId client) {
+        return const_cast<ClientSlot*>(std::as_const(*this).client_slot(client));
+    }
     ClientSlot& client_slot_for_insert(ClientId client);
     void client_slot_erase(ClientId client);
     [[nodiscard]] const AddrSlot* addr_slot(net::IPv4Address addr) const;
@@ -98,9 +123,13 @@ private:
     void addr_slot_erase(net::IPv4Address addr);
     void maybe_grow();
 
-    void heap_push(HeapEntry entry);
-    /// Drops stale heap entries off the top; compacts when the heap holds
-    /// mostly garbage. Logically const (the heap is an index, not state).
+    /// Queues the record's current terms, or rebuilds the heap from the
+    /// live records (this one included) when it holds mostly stale
+    /// entries. Call after stamping the record's seq.
+    void heap_queue(const ClientSlot& slot);
+    /// Drops stale heap entries off the top and re-keys the entry of a
+    /// record refreshed in place, until the top is current. Logically
+    /// const (the heap is an index, not state).
     void heap_settle() const;
 
     /// Pushes this database's active-lease delta into the shared gauge.

@@ -20,6 +20,8 @@ struct WheelMetrics {
     obs::Counter& cancelled = obs::counter("sim.wheel.cancelled");
     obs::Counter& cascaded = obs::counter("sim.wheel.cascaded");
     obs::Counter& overflow = obs::counter("sim.wheel.overflow");
+    /// Events placed before the cursor (the sorted-insert path).
+    obs::Counter& late_inserts = obs::counter("sim.wheel.late_inserts");
 };
 
 WheelMetrics& wheel_metrics() {
@@ -35,7 +37,10 @@ constexpr std::uint64_t encode_id(std::uint32_t gen, std::uint32_t slot) {
 
 }  // namespace
 
-EventQueue::EventQueue() {
+EventQueue::EventQueue(net::TimePoint origin)
+    : cursor_(origin.unix_seconds()),
+      ready_second_(cursor_ - 1),
+      last_fired_(cursor_) {
     for (int level = 0; level < kLevels; ++level) {
         std::fill(std::begin(bucket_head_[level]), std::end(bucket_head_[level]),
                   kNil);
@@ -57,12 +62,6 @@ EventId EventQueue::schedule_every(net::TimePoint first, net::Duration period,
 
 EventId EventQueue::schedule_impl(std::int64_t when, std::int64_t period,
                                   Callback cb) {
-    if (!started_) {
-        // Anchor the wheel at the first event ever scheduled.
-        started_ = true;
-        cursor_ = when;
-        ready_second_ = when - 1;
-    }
     const std::uint32_t slot = alloc_slot();
     Event& e = slab_[slot];
     e.when = when;
@@ -109,6 +108,12 @@ std::optional<net::TimePoint> EventQueue::next_time() {
     return net::TimePoint{*next};
 }
 
+std::optional<net::TimePoint> EventQueue::next_time_until(net::TimePoint limit) {
+    auto next = find_next(limit.unix_seconds());
+    if (!next) return std::nullopt;
+    return net::TimePoint{*next};
+}
+
 bool EventQueue::run_next() {
     if (!find_next()) return false;
     wheel_metrics().fired.inc();
@@ -116,6 +121,7 @@ bool EventQueue::run_next() {
     const std::uint32_t slot = ready_[ready_head_++];
     Event& e = slab_[slot];
     const std::int64_t when = e.when;
+    last_fired_ = when;
     if (e.period > 0) {
         // Periodic: reschedule in place after the callback so a callback
         // that cancels its own id (or one that runs right before the next
@@ -167,6 +173,7 @@ void EventQueue::place(std::uint32_t slot) {
     const Event& e = slab_[slot];
     const std::int64_t when = e.when;
     if (when <= cursor_) {
+        if (when < cursor_) wheel_metrics().late_inserts.inc();
         if (ready_second_ == cursor_) {
             // The current second was already detached; join it in sorted
             // position so FIFO-at-equal-time holds.
@@ -331,7 +338,7 @@ int EventQueue::first_occupied(int level) const {
     return -1;
 }
 
-std::optional<std::int64_t> EventQueue::find_next() {
+std::optional<std::int64_t> EventQueue::find_next(std::int64_t limit) {
     for (;;) {
         // 1. The detached current second, pruning leading tombstones.
         while (ready_head_ < ready_.size()) {
@@ -341,7 +348,9 @@ std::optional<std::int64_t> EventQueue::find_next() {
                 ++ready_head_;
                 continue;
             }
-            return slab_[slot].when;
+            const std::int64_t when = slab_[slot].when;
+            if (when > limit) return std::nullopt;
+            return when;
         }
         if (size_ == 0 && heap_.empty()) {
             // Fast path out; tombstones may still sit in buckets but no
@@ -353,7 +362,17 @@ std::optional<std::int64_t> EventQueue::find_next() {
                         wheel_empty = false;
                         break;
                     }
-            if (wheel_empty) return std::nullopt;
+            if (wheel_empty) {
+                // Nothing is left, not even a tombstone. Pruning tombstones
+                // may have carried the cursor past the last fired time;
+                // re-anchor there so a caller whose clock stands at that
+                // time never late-inserts into the empty queue.
+                cursor_ = last_fired_;
+                ready_second_ = cursor_ - 1;
+                ready_.clear();
+                ready_head_ = 0;
+                return std::nullopt;
+            }
         }
 
         // 2. Pull heap events that entered the wheel horizon.
@@ -380,23 +399,32 @@ std::optional<std::int64_t> EventQueue::find_next() {
         const std::int64_t s2 =
             idx2 >= 0 ? bucket_start(2, idx2) : std::int64_t(0);
 
+        // The candidate taken below bounds every pending event from below
+        // (late inserts sit in the cursor bucket, whose start is the
+        // cursor itself), so one past both the cursor and `limit` means
+        // nothing is due by `limit`: stop before the cursor moves there.
+        const std::int64_t stop = std::max(cursor_, limit);
         if (idx0 < 0 && idx1 < 0 && idx2 < 0) {
-            if (heap_.empty()) return std::nullopt;
+            if (heap_.empty() || heap_.front().when > stop)
+                return std::nullopt;
             // Jump the wheel to the far future and retry; migrate_heap will
             // move everything within the new horizon in.
             cursor_ = heap_.front().when;
             continue;
         }
         if (idx2 >= 0 && (idx0 < 0 || s2 <= t0) && (idx1 < 0 || s2 <= s1)) {
+            if (s2 > stop) return std::nullopt;
             cursor_ = std::max(cursor_, s2);
             cascade(2, std::uint32_t(idx2));
             continue;
         }
         if (idx1 >= 0 && (idx0 < 0 || s1 <= t0)) {
+            if (s1 > stop) return std::nullopt;
             cursor_ = std::max(cursor_, s1);
             cascade(1, std::uint32_t(idx1));
             continue;
         }
+        if (t0 > stop) return std::nullopt;
         cursor_ = t0;
         detach_into_ready(std::uint32_t(idx0));
         ready_second_ = t0;

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <vector>
 
@@ -36,11 +37,21 @@ struct EventId {
 /// reschedule in place — one slab slot and one callback for the lifetime
 /// of the recurrence, no per-firing allocation. Their id stays valid
 /// across firings; cancel() stops the recurrence.
+///
+/// The wheel is anchored at an explicit origin: the cursor starts there
+/// and only moves forward to the earliest pending event. An event
+/// scheduled before the cursor is still fired in order, but it takes the
+/// slow sorted-insert path and counts in `sim.wheel.late_inserts`. A
+/// caller that never schedules before the origin or the last fired time,
+/// and that peeks past its clock only through next_time_until() (as
+/// Simulation does), never late-inserts: next_time() may move the cursor
+/// up to the next pending event, beyond the caller's clock.
 class EventQueue {
 public:
     using Callback = InlineCallback;
 
-    EventQueue();
+    /// An empty queue whose wheel cursor starts at `origin`.
+    explicit EventQueue(net::TimePoint origin);
     EventQueue(const EventQueue&) = delete;
     EventQueue& operator=(const EventQueue&) = delete;
 
@@ -63,6 +74,13 @@ public:
     /// (cascading wheel levels, pruning tombstones) but never observable
     /// state.
     [[nodiscard]] std::optional<net::TimePoint> next_time();
+
+    /// Time of the earliest pending event when it is at or before `limit`,
+    /// else nullopt. Moves the cursor no further than `limit` (unless it
+    /// already stood past it), so scheduling at `limit` afterwards is not
+    /// a late insert.
+    [[nodiscard]] std::optional<net::TimePoint> next_time_until(
+        net::TimePoint limit);
 
     [[nodiscard]] bool empty() const { return size_ == 0; }
     [[nodiscard]] std::size_t size() const { return size_; }
@@ -120,9 +138,12 @@ private:
     /// Index of the first occupied bucket at `level`, scanning rotated
     /// from the cursor's position; -1 when the level is empty.
     [[nodiscard]] int first_occupied(int level) const;
-    /// Ensures ready_ holds the earliest pending event at its front.
-    /// Returns its time, or nullopt when the queue is empty.
-    std::optional<std::int64_t> find_next();
+    /// Ensures ready_ holds the earliest pending event at its front and
+    /// returns its time; nullopt when no pending event is at or before
+    /// `limit`. The cursor moves past `limit` only if it already stood
+    /// there.
+    std::optional<std::int64_t> find_next(
+        std::int64_t limit = std::numeric_limits<std::int64_t>::max());
 
     std::vector<Event> slab_;
     std::uint32_t free_head_ = kNil;
@@ -137,9 +158,13 @@ private:
     std::vector<std::uint32_t> ready_;
     std::size_t ready_head_ = 0;
 
-    bool started_ = false;       ///< cursor_ is meaningful
-    std::int64_t cursor_ = 0;    ///< wheel position; <= every pending when
+    /// Wheel position; <= every pending when, unless an event was
+    /// scheduled before it (a counted late insert).
+    std::int64_t cursor_ = 0;
     std::int64_t ready_second_ = 0;  ///< second last detached into ready_
+    /// Time of the last fired event (the origin before any); where an
+    /// emptied queue re-anchors.
+    std::int64_t last_fired_ = 0;
 
     std::uint64_t next_seq_ = 0;
     std::size_t size_ = 0;

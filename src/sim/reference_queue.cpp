@@ -25,6 +25,13 @@ std::optional<net::TimePoint> ReferenceEventQueue::next_time() const {
     return events_.begin()->first.when;
 }
 
+std::optional<net::TimePoint> ReferenceEventQueue::next_time_until(
+    net::TimePoint limit) const {
+    const auto next = next_time();
+    if (!next || *next > limit) return std::nullopt;
+    return next;
+}
+
 bool ReferenceEventQueue::run_next() {
     if (events_.empty()) return false;
     auto it = events_.begin();

@@ -22,9 +22,15 @@ class ReferenceEventQueue {
 public:
     using Callback = std::function<void(net::TimePoint)>;
 
+    /// Takes the same origin as EventQueue so the two are built alike in
+    /// differential tests; an ordered map needs no anchor.
+    explicit ReferenceEventQueue(net::TimePoint /*origin*/) {}
+
     EventId schedule(net::TimePoint when, Callback callback);
     bool cancel(EventId id);
     [[nodiscard]] std::optional<net::TimePoint> next_time() const;
+    [[nodiscard]] std::optional<net::TimePoint> next_time_until(
+        net::TimePoint limit) const;
     [[nodiscard]] bool empty() const { return events_.empty(); }
     [[nodiscard]] std::size_t size() const { return events_.size(); }
     bool run_next();

@@ -24,7 +24,7 @@ SimMetrics& sim_metrics() {
 }
 }  // namespace
 
-Simulation::Simulation(net::TimePoint start) : now_(start) {
+Simulation::Simulation(net::TimePoint start) : now_(start), queue_(start) {
     obs::push_sim_clock(&now_);
     // Live observability: while this simulation exists, time-series
     // samples follow simulated time. The tick is a pure observer (it only
@@ -69,8 +69,10 @@ EventId Simulation::every(net::TimePoint first, net::Duration period,
 
 std::uint64_t Simulation::run_until(net::TimePoint end) {
     std::uint64_t ran = 0;
-    while (auto next = queue_.next_time()) {
-        if (*next > end) break;
+    // Peeking no further than `end` keeps the wheel cursor at or before
+    // the clock this leaves behind, so later at(now()) stays on the fast
+    // path.
+    while (auto next = queue_.next_time_until(end)) {
         now_ = *next;
         queue_.run_next();
         ++ran;

@@ -258,11 +258,35 @@ TEST(SplitByProbe, PartitionsSortedRecords) {
     for (int p = 1; p <= 3; ++p)
         for (int i = 0; i < p; ++i)
             records.push_back({atlas::ProbeId(p), TimePoint{i * 240}, 3, 3, 50});
-    const auto split = split_kroot_by_probe(records);
+    std::vector<KRootPingRecord> storage;
+    const auto split = split_kroot_by_probe(records, storage);
     ASSERT_EQ(split.size(), 3u);
     EXPECT_EQ(split.at(1).size(), 1u);
     EXPECT_EQ(split.at(2).size(), 2u);
     EXPECT_EQ(split.at(3).size(), 3u);
+    EXPECT_TRUE(storage.empty()) << "sorted input is split in place";
+    EXPECT_EQ(split.at(2).data(), records.data() + 1);
+}
+
+TEST(SplitByProbe, GroupsInterleavedRecordsKeepingOrder) {
+    // Emission order, as a live-written bundle reads back: probes
+    // interleave, each probe's own records in time order.
+    std::vector<UptimeRecord> records;
+    for (int i = 0; i < 4; ++i)
+        for (int p = 3; p >= 1; --p)
+            records.push_back({atlas::ProbeId(p), TimePoint{i * 100},
+                               std::uint64_t(i)});
+    std::vector<UptimeRecord> storage;
+    const auto split = split_uptime_by_probe(records, storage);
+    ASSERT_EQ(split.size(), 3u);
+    EXPECT_EQ(storage.size(), records.size());
+    for (const auto& [probe, span] : split) {
+        ASSERT_EQ(span.size(), 4u) << "probe " << probe;
+        for (std::size_t i = 0; i < span.size(); ++i) {
+            EXPECT_EQ(span[i].probe, probe);
+            EXPECT_EQ(span[i].timestamp.unix_seconds(), std::int64_t(i) * 100);
+        }
+    }
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <map>
 #include <sstream>
@@ -340,6 +341,62 @@ TEST(StreamingBinary, FeedBinaryBundleMatchesBatch) {
     EXPECT_EQ(streamed, reference);
     EXPECT_EQ(pipeline.buffered_records(), 0u);
     EXPECT_GT(pipeline.probes_seen(), 0u);
+}
+
+TEST(StreamingBinary, LiveSinkBundleBatchMatchesStreaming) {
+    // The simulator's live sink writes records in emission order, so a
+    // bundle read back from its .dab files interleaves probes' k-root and
+    // uptime records. Batch analysis must group them the way the
+    // streaming reader does, or it keeps only each probe's first run and
+    // loses its power outages.
+    auto config = isp::presets::outage_scenario();
+    const fs::path dir =
+        fs::temp_directory_path() /
+        ("dynaddr_live_sink_dab_" + std::to_string(::getpid()));
+    fs::remove_all(dir);
+    isp::ScenarioResult scenario;
+    {
+        atlas::BinaryBundleWriter writer(dir.string());
+        config.bundle_sink = &writer;
+        scenario = isp::run_scenario(config);
+        config.bundle_sink = nullptr;
+        writer.close();
+    }
+    const auto read_back = atlas::read_binary_bundle(dir.string());
+    const auto by_probe = [](const auto& a, const auto& b) {
+        return a.probe < b.probe;
+    };
+    ASSERT_FALSE(std::is_sorted(read_back.uptime_records.begin(),
+                                read_back.uptime_records.end(), by_probe))
+        << "the live sink no longer interleaves probes; this test needs a "
+           "new source of interleaved input";
+
+    PipelineConfig pipeline_config;
+    pipeline_config.threads = 1;
+    AnalysisPipeline batch(pipeline_config);
+    const auto batch_results = batch.run(read_back, scenario.prefix_table,
+                                         scenario.registry, config.window);
+    const std::string via_run = fingerprint(batch_results);
+    const std::string via_reference = fingerprint(batch.run_reference(
+        read_back, scenario.prefix_table, scenario.registry, config.window));
+
+    StreamingPipeline::Options options;
+    options.config.threads = 1;
+    StreamingPipeline streaming(scenario.prefix_table, scenario.registry,
+                                options);
+    streaming.open(config.window);
+    feed_binary_bundle(streaming, dir.string());
+    const std::string streamed = fingerprint(streaming.finish());
+    fs::remove_all(dir);
+
+    // Plain comparisons: gtest's line diff of two multi-megabyte
+    // fingerprints takes quadratic memory.
+    EXPECT_FALSE(batch_results.power_outages.empty());
+    EXPECT_TRUE(via_run == streamed) << "AnalysisPipeline::run differs";
+    EXPECT_TRUE(via_reference == streamed) << "run_reference differs";
+    // And all of them equal the oracle on the simulator's sorted bundle.
+    EXPECT_TRUE(streamed == reference_fingerprint(scenario, config, 1))
+        << "streaming read-back differs from the in-memory oracle";
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include "core/pipeline.hpp"
 #include "core/report.hpp"
 #include "isp/presets.hpp"
+#include "netcore/obs/metrics.hpp"
 
 namespace dynaddr {
 namespace {
@@ -315,6 +316,29 @@ TEST(PaperWorld, EveryIspIsInternallyConsistent) {
             EXPECT_EQ(covering, 1) << isp.name << " " << pool.to_string();
         }
     }
+}
+
+/// The event queue's invariant on whole worlds: the simulation anchors
+/// its wheel at the window start and never schedules into the past, so
+/// no event of a preset run takes the late-insert path.
+void expect_no_late_inserts(const isp::ScenarioConfig& config) {
+    const obs::Counter& late = obs::counter("sim.wheel.late_inserts");
+    const std::uint64_t before = late.value();
+    const auto scenario = isp::run_scenario(config);
+    EXPECT_GT(scenario.sim_events, 0u);
+    EXPECT_EQ(late.value(), before);
+}
+
+TEST(WheelInvariant, QuickPresetNeverLateInserts) {
+    expect_no_late_inserts(isp::presets::quick_scenario());
+}
+
+TEST(WheelInvariant, OutagePresetNeverLateInserts) {
+    expect_no_late_inserts(isp::presets::outage_scenario());
+}
+
+TEST(WheelInvariant, PaperPresetNeverLateInserts) {
+    expect_no_late_inserts(isp::presets::paper_scenario());
 }
 
 }  // namespace

@@ -10,9 +10,11 @@
 #include <optional>
 #include <vector>
 
+#include "netcore/obs/metrics.hpp"
 #include "netcore/rng.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/reference_queue.hpp"
+#include "sim/simulation.hpp"
 
 namespace dynaddr::sim {
 namespace {
@@ -37,14 +39,18 @@ struct Firing {
 ///
 /// Times are drawn across four magnitude bands so every wheel level plus
 /// the overflow heap participates: same-second, level-0 (<256 s), level-1
-/// (<65536 s), level-2 (<194 d) and heap (>194 d).
+/// (<65536 s), level-2 (<194 d) and heap (>194 d). Both queues start at
+/// `origin` and every time is drawn at or after the caller's clock: the
+/// last fired time, or the limit of the last run-until step, the way
+/// Simulation schedules.
 template <typename Queue>
-std::vector<Firing> run_script(std::uint64_t seed, int operations) {
+std::vector<Firing> run_script(std::uint64_t seed, int operations,
+                               std::int64_t origin = 0) {
     rng::Stream rng(seed);
-    Queue queue;
+    Queue queue(TimePoint{origin});
     std::vector<Firing> firings;
     std::vector<std::pair<int, EventId>> live;
-    std::int64_t low_water = 0;  // fire times are monotone; never schedule earlier
+    std::int64_t low_water = origin;  // fire times are monotone; never schedule earlier
     int next_tag = 0;
 
     for (int op = 0; op < operations; ++op) {
@@ -68,6 +74,16 @@ std::vector<Firing> run_script(std::uint64_t seed, int operations) {
                 rng.uniform_int(0, std::int64_t(live.size()) - 1));
             queue.cancel(live[pick].second);
             live.erase(live.begin() + std::ptrdiff_t(pick));
+        } else if (kind == 9) {  // run until a limit, as Simulation does
+            static constexpr std::int64_t kSpans[] = {1, 256, 65536, 1 << 24};
+            const auto span = std::size_t(rng.uniform_int(0, 3));
+            const std::int64_t limit =
+                low_water + rng.uniform_int(0, kSpans[span] - 1);
+            while (const auto peek = queue.next_time_until(TimePoint{limit})) {
+                EXPECT_TRUE(queue.run_next());
+                firings.back().peeked = peek->unix_seconds();
+            }
+            low_water = limit;
         } else {  // pop a few
             const std::int64_t pops = rng.uniform_int(1, 3);
             for (std::int64_t i = 0; i < pops; ++i) {
@@ -86,12 +102,101 @@ std::vector<Firing> run_script(std::uint64_t seed, int operations) {
     return firings;
 }
 
+/// Origins for the scripts: zero, and a realistic epoch time that sits
+/// mid-frame on every wheel level.
+constexpr std::int64_t kOrigins[] = {0, 1'388'534'461};
+
 TEST(EventEngineProperty, MatchesReferenceQueueOverRandomInterleavings) {
-    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
-        const auto wheel = run_script<EventQueue>(seed, 400);
-        const auto reference = run_script<ReferenceEventQueue>(seed, 400);
-        ASSERT_EQ(wheel, reference) << "diverged at seed " << seed;
+    for (const std::int64_t origin : kOrigins) {
+        for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+            const auto wheel = run_script<EventQueue>(seed, 400, origin);
+            const auto reference =
+                run_script<ReferenceEventQueue>(seed, 400, origin);
+            ASSERT_EQ(wheel, reference)
+                << "diverged at origin " << origin << " seed " << seed;
+        }
     }
+}
+
+TEST(EventEngineProperty, MonotoneSchedulesNeverLateInsert) {
+    // The header invariant: cursor_ <= every pending when. A queue
+    // anchored at its origin and fed times at or after the last fired one
+    // never takes the late-insert path.
+    const obs::Counter& late = obs::counter("sim.wheel.late_inserts");
+    for (const std::int64_t origin : kOrigins) {
+        for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+            const std::uint64_t before = late.value();
+            run_script<EventQueue>(seed, 1000, origin);
+            EXPECT_EQ(late.value(), before)
+                << "origin " << origin << " seed " << seed;
+        }
+    }
+}
+
+TEST(EventEngineProperty, LateInsertCountsOnlyBeforeCursor) {
+    const obs::Counter& late = obs::counter("sim.wheel.late_inserts");
+    const std::uint64_t before = late.value();
+    EventQueue queue(TimePoint{100});
+    std::vector<std::int64_t> fired;
+    const auto record = [&](TimePoint t) { fired.push_back(t.unix_seconds()); };
+    queue.schedule(TimePoint{100}, record);  // at the cursor: not late
+    queue.schedule(TimePoint{150}, record);
+    EXPECT_EQ(late.value(), before);
+    ASSERT_EQ(queue.next_time()->unix_seconds(), 100);
+    // Same second as the detached cursor second: joins it, not late.
+    queue.schedule(TimePoint{100}, record);
+    EXPECT_EQ(late.value(), before);
+    queue.schedule(TimePoint{40}, record);  // before the cursor: late
+    EXPECT_EQ(late.value(), before + 1);
+    while (queue.run_next()) {
+    }
+    // A late event still fires in time order.
+    EXPECT_EQ(fired, (std::vector<std::int64_t>{40, 100, 100, 150}));
+}
+
+TEST(EventEngineProperty, RunUntilLeavesCursorAtClock) {
+    // run_until(end) with an event pending past `end` must leave the
+    // cursor at or before `end`, so scheduling at now() between runs is
+    // not a late insert. The pending event sits in each wheel level in
+    // turn, then in the overflow heap.
+    const obs::Counter& late = obs::counter("sim.wheel.late_inserts");
+    static constexpr std::int64_t kAhead[] = {1, 200, 70000, (1 << 24) + 5};
+    for (const std::int64_t ahead : kAhead) {
+        Simulation sim(TimePoint{1000});
+        std::vector<std::int64_t> fired;
+        const auto record = [&](TimePoint t) {
+            fired.push_back(t.unix_seconds());
+        };
+        sim.at(TimePoint{1010}, record);
+        sim.at(TimePoint{1050 + ahead}, record);
+        const std::uint64_t before = late.value();
+        EXPECT_EQ(sim.run_until(TimePoint{1050}), 1u);
+        ASSERT_EQ(sim.now().unix_seconds(), 1050);
+        sim.at(sim.now(), record);
+        sim.at(sim.now() + Duration::seconds(ahead), record);
+        EXPECT_EQ(late.value(), before) << "ahead " << ahead;
+        sim.run_until(TimePoint{1050 + 2 * ahead});
+        EXPECT_EQ(fired, (std::vector<std::int64_t>{1010, 1050, 1050 + ahead,
+                                                    1050 + ahead}))
+            << "ahead " << ahead;
+    }
+}
+
+TEST(EventEngineProperty, NextTimeUntilFindsLateInsertBeforeCursor) {
+    // A bounded peek that stopped after a cascade leaves the cursor in a
+    // bucket that was never detached; an event scheduled before the
+    // cursor parks there and must still be found by the next peek.
+    EventQueue queue(TimePoint{0});
+    std::vector<std::int64_t> fired;
+    const auto record = [&](TimePoint t) { fired.push_back(t.unix_seconds()); };
+    queue.schedule(TimePoint{1000}, record);
+    EXPECT_FALSE(queue.next_time_until(TimePoint{800}));
+    queue.schedule(TimePoint{700}, record);
+    EXPECT_FALSE(queue.next_time_until(TimePoint{600}));
+    ASSERT_EQ(queue.next_time_until(TimePoint{750}), TimePoint{700});
+    while (queue.run_next()) {
+    }
+    EXPECT_EQ(fired, (std::vector<std::int64_t>{700, 1000}));
 }
 
 TEST(EventEngineProperty, LargeSingleRunMatchesReference) {
@@ -104,7 +209,7 @@ TEST(EventEngineProperty, CancelOfFiredIdReturnsFalse) {
     // The O(1) tombstone cancel must still report false for ids that
     // already fired — across every wheel level and the heap.
     static constexpr std::int64_t kDelays[] = {0, 7, 300, 70000, (1 << 24) + 5};
-    EventQueue queue;
+    EventQueue queue(TimePoint{0});
     std::vector<EventId> ids;
     for (const std::int64_t d : kDelays)
         ids.push_back(queue.schedule(TimePoint{d}, [](TimePoint) {}));
@@ -121,7 +226,7 @@ TEST(EventEngineProperty, CancelOfFiredIdReturnsFalse) {
 }
 
 TEST(EventEngineProperty, DoubleCancelReturnsFalse) {
-    EventQueue queue;
+    EventQueue queue(TimePoint{0});
     const EventId id = queue.schedule(TimePoint{50}, [](TimePoint) {});
     EXPECT_TRUE(queue.cancel(id));
     EXPECT_FALSE(queue.cancel(id));
@@ -131,7 +236,7 @@ TEST(EventEngineProperty, DoubleCancelReturnsFalse) {
 }
 
 TEST(EventEngineProperty, StaleIdAfterSlotReuseDoesNotCancelNewEvent) {
-    EventQueue queue;
+    EventQueue queue(TimePoint{0});
     int fired = 0;
     const EventId old_id = queue.schedule(TimePoint{1}, [&](TimePoint) { ++fired; });
     EXPECT_TRUE(queue.run_next());
@@ -144,7 +249,7 @@ TEST(EventEngineProperty, StaleIdAfterSlotReuseDoesNotCancelNewEvent) {
 }
 
 TEST(EventEngineProperty, PeriodicFiresOnCadenceAndCancels) {
-    EventQueue queue;
+    EventQueue queue(TimePoint{0});
     std::vector<std::int64_t> fired;
     const EventId id = queue.schedule_every(
         TimePoint{240}, Duration{240},
@@ -162,7 +267,7 @@ TEST(EventEngineProperty, PeriodicInterleavesFifoWithOneShots) {
     // scheduling order: the recurrence re-arms with a fresh sequence
     // number after each firing, exactly like a callback rescheduling
     // itself at the end of its body.
-    EventQueue queue;
+    EventQueue queue(TimePoint{0});
     std::vector<int> order;
     queue.schedule_every(TimePoint{10}, Duration{10},
                          [&](TimePoint) { order.push_back(0); });
@@ -177,7 +282,7 @@ TEST(EventEngineProperty, PeriodicInterleavesFifoWithOneShots) {
 }
 
 TEST(EventEngineProperty, PeriodicCancelFromOwnCallbackStopsRecurrence) {
-    EventQueue queue;
+    EventQueue queue(TimePoint{0});
     int count = 0;
     EventId id{};
     id = queue.schedule_every(TimePoint{5}, Duration{5}, [&](TimePoint) {
@@ -192,7 +297,7 @@ TEST(EventEngineProperty, PeriodicCancelFromOwnCallbackStopsRecurrence) {
 }
 
 TEST(EventEngineProperty, ManyEventsAcrossAllLevelsDrainInOrder) {
-    EventQueue queue;
+    EventQueue queue(TimePoint{0});
     rng::Stream rng(7);
     std::vector<std::int64_t> expected;
     for (int i = 0; i < 20000; ++i) {

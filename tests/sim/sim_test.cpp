@@ -11,7 +11,7 @@ using net::Duration;
 using net::TimePoint;
 
 TEST(EventQueue, RunsInTimeOrder) {
-    EventQueue queue;
+    EventQueue queue(TimePoint{0});
     std::vector<int> order;
     queue.schedule(TimePoint{30}, [&](TimePoint) { order.push_back(3); });
     queue.schedule(TimePoint{10}, [&](TimePoint) { order.push_back(1); });
@@ -22,7 +22,7 @@ TEST(EventQueue, RunsInTimeOrder) {
 }
 
 TEST(EventQueue, TiesRunFifo) {
-    EventQueue queue;
+    EventQueue queue(TimePoint{0});
     std::vector<int> order;
     for (int i = 0; i < 5; ++i)
         queue.schedule(TimePoint{100}, [&, i](TimePoint) { order.push_back(i); });
@@ -32,7 +32,7 @@ TEST(EventQueue, TiesRunFifo) {
 }
 
 TEST(EventQueue, CancelRemovesPending) {
-    EventQueue queue;
+    EventQueue queue(TimePoint{0});
     int fired = 0;
     const EventId id = queue.schedule(TimePoint{10}, [&](TimePoint) { ++fired; });
     queue.schedule(TimePoint{20}, [&](TimePoint) { ++fired; });
@@ -44,7 +44,7 @@ TEST(EventQueue, CancelRemovesPending) {
 }
 
 TEST(EventQueue, NextTimeReflectsEarliest) {
-    EventQueue queue;
+    EventQueue queue(TimePoint{0});
     EXPECT_FALSE(queue.next_time());
     queue.schedule(TimePoint{50}, [](TimePoint) {});
     queue.schedule(TimePoint{5}, [](TimePoint) {});

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
@@ -28,7 +30,13 @@ std::string read_file(const fs::path& path) {
 class ObsSmoke : public ::testing::Test {
 protected:
     void SetUp() override {
-        dir_ = fs::temp_directory_path() / "dynaddr_obs_smoke";
+        // One directory per process and case: TearDown removes it, so a
+        // shared name would delete artifacts of cases running in parallel.
+        const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+        dir_ = fs::temp_directory_path() /
+               ("dynaddr_obs_smoke_" + std::to_string(::getpid()) + "_" +
+                info->name());
+        fs::remove_all(dir_);
         fs::create_directories(dir_);
     }
     void TearDown() override {
