@@ -4,11 +4,14 @@
 
 #include <benchmark/benchmark.h>
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <ctime>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -174,6 +177,79 @@ void BM_BinaryLogParse(benchmark::State& state) {
     state.counters["physical_bytes"] = double(blob.size());
 }
 BENCHMARK(BM_BinaryLogParse);
+
+// BM_BinaryLogParse decodes probe-sorted 512-record blocks. The simulator's
+// live sink writes records in time order with probes interleaved, so every
+// probe switch closes a block: 1–2 records per block and an index that is
+// a quarter of the file. This streams such a bundle (5k probes, written
+// through BinaryBundleWriter in time order) in probe order, as `analyze
+// --streaming` reads it, so per-block costs show.
+void BM_StreamLiveSinkBundle(benchmark::State& state) {
+    constexpr std::uint32_t kProbes = 5000;
+    constexpr int kSteps = 12;
+    const std::string dir = "/tmp/dynaddr_bench_live_sink_" +
+                            std::to_string(::getpid());
+    std::size_t blocks = 0;
+    {
+        atlas::BinaryBundleWriter writer(dir);
+        const net::TimePoint t0 = net::TimePoint::from_date(2015, 1, 1);
+        for (std::uint32_t p = 0; p < kProbes; ++p) {
+            atlas::ProbeMetadata meta;
+            meta.probe = 1 + p * 7;
+            writer.add_probe(meta);
+        }
+        for (int step = 0; step < kSteps; ++step) {
+            for (std::uint32_t p = 0; p < kProbes; ++p) {
+                // A different interleaving each step (1237 is coprime
+                // to kProbes, so every probe appears once per step).
+                const std::uint32_t probe =
+                    1 + ((p * 1237 + std::uint32_t(step) * 101) % kProbes) * 7;
+                const net::TimePoint t =
+                    t0 + net::Duration::hours(24 * step) +
+                    net::Duration::seconds(std::int64_t(p));
+                const int records = (p + std::uint32_t(step)) % 3 == 0 ? 2 : 1;
+                for (int r = 0; r < records; ++r) {
+                    atlas::ConnectionLogEntry entry;
+                    entry.probe = probe;
+                    entry.start = t + net::Duration::hours(12 * r);
+                    entry.end = entry.start + net::Duration::hours(11);
+                    entry.address = atlas::PeerAddress::ipv4(net::IPv4Address{
+                        0x0A000000u + probe * 16 + std::uint32_t(step % 4)});
+                    writer.add_connection(entry);
+                }
+                atlas::UptimeRecord uptime;
+                uptime.probe = probe;
+                uptime.timestamp = t;
+                uptime.uptime_seconds = std::uint64_t(step) * 86400;
+                writer.add_uptime(uptime);
+                blocks += 2;  // one connection and one uptime block
+            }
+        }
+        writer.close();
+    }
+    struct Counter final : atlas::BundleStreamHandler {
+        std::size_t records = 0;
+        void on_metadata(const atlas::ProbeMetadata&) override {}
+        void on_connection(const atlas::ConnectionLogEntry&) override {
+            ++records;
+        }
+        void on_kroot(const atlas::KRootPingRecord&) override { ++records; }
+        void on_uptime(const atlas::UptimeRecord&) override { ++records; }
+        void on_probe_complete(atlas::ProbeId) override {}
+    };
+    std::size_t records = 0;
+    for (auto _ : state) {
+        Counter counter;
+        atlas::stream_binary_bundle(dir, counter);
+        benchmark::DoNotOptimize(counter.records);
+        records = counter.records;
+    }
+    std::filesystem::remove_all(dir);
+    state.counters["records_per_s"] = benchmark::Counter(
+        double(records), benchmark::Counter::kIsIterationInvariantRate);
+    state.counters["blocks"] = double(blocks);
+}
+BENCHMARK(BM_StreamLiveSinkBundle)->Unit(benchmark::kMillisecond);
 
 // mmap + SIMD delimiter scan over the same CSV, projecting the columns
 // the change-extraction analyses actually touch — fields come out as

@@ -1,11 +1,11 @@
 #include "atlas/binary_bundle.hpp"
 
 #include <algorithm>
+#include <array>
 #include <filesystem>
 #include <fstream>
 #include <limits>
-#include <map>
-#include <tuple>
+#include <numeric>
 
 #include "netcore/bytesource.hpp"
 #include "netcore/error.hpp"
@@ -61,19 +61,36 @@ const char* dataset_name(DatasetKind kind) {
 
 // -- encoding ----------------------------------------------------------------
 
+std::uint64_t splitmix64(std::uint64_t x) {
+    x += 0x9E3779B97F4A7C15ull;
+    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
+    x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
+    return x ^ (x >> 31);
+}
+
 /// Deterministic address dictionary: indexes assigned in first-appearance
-/// order, so an encode of the same record sequence is byte-stable.
+/// order, so an encode of the same record sequence is byte-stable. The
+/// lookup is a flat open-addressing table keyed by (family, hi, lo) with
+/// linear probing; addresses are never removed, so there are no
+/// tombstones and growth is a plain rehash at 3/4 load.
 class AddressDict {
 public:
+    AddressDict() : slots_(kInitialSlots) {}
+
     std::uint64_t index_of(const PeerAddress& address) {
         const Key key = key_of(address);
-        auto [it, inserted] = index_.try_emplace(key, entries_.size());
-        if (inserted) entries_.push_back(address);
-        return it->second;
+        Slot& slot = find(key);
+        if (slot.key.family != 0) return slot.index;
+        slot = Slot{key, entries_.size()};
+        entries_.push_back(address);
+        if (entries_.size() * 4 > slots_.size() * 3) grow();
+        return entries_.size() - 1;
     }
 
-    [[nodiscard]] const std::vector<PeerAddress>& entries() const {
-        return entries_;
+    /// Heap held by the table and the entry list, for memory accounting.
+    [[nodiscard]] std::size_t memory_bytes() const {
+        return slots_.capacity() * sizeof(Slot) +
+               entries_.capacity() * sizeof(PeerAddress);
     }
 
     void encode(std::string& out) const {
@@ -95,12 +112,45 @@ public:
     }
 
 private:
-    using Key = std::tuple<int, std::uint32_t, std::uint64_t, std::uint64_t>;
+    static constexpr std::size_t kInitialSlots = 64;  // power of two
+
+    /// The family keeps an IPv4 address apart from the IPv6 address with
+    /// the same low 32 bits.
+    struct Key {
+        std::uint64_t hi = 0;
+        std::uint64_t lo = 0;
+        std::uint8_t family = 0;  ///< 4 or 16; 0 marks an empty slot
+        bool operator==(const Key&) const = default;
+    };
+    struct Slot {
+        Key key;
+        std::uint64_t index = 0;
+    };
+
     static Key key_of(const PeerAddress& a) {
-        return a.is_v4() ? Key{4, a.v4.value(), 0, 0}
-                         : Key{16, 0, a.v6.hi(), a.v6.lo()};
+        return a.is_v4() ? Key{0, a.v4.value(), 4}
+                         : Key{a.v6.hi(), a.v6.lo(), 16};
     }
-    std::map<Key, std::uint64_t> index_;
+
+    /// The slot holding `key`, or the empty slot where it belongs.
+    Slot& find(const Key& key) {
+        const std::size_t mask = slots_.size() - 1;
+        const std::uint64_t hash =
+            splitmix64(key.hi ^ splitmix64(key.lo + key.family));
+        for (std::size_t i = hash & mask;; i = (i + 1) & mask) {
+            Slot& slot = slots_[i];
+            if (slot.key.family == 0 || slot.key == key) return slot;
+        }
+    }
+
+    void grow() {
+        std::vector<Slot> old(slots_.size() * 2);
+        old.swap(slots_);
+        for (const Slot& slot : old)
+            if (slot.key.family != 0) find(slot.key) = slot;
+    }
+
+    std::vector<Slot> slots_;
     std::vector<PeerAddress> entries_;
 };
 
@@ -250,6 +300,7 @@ struct DatasetEncoder {
     BlockStream stream{Encoder::kind};
     Encoder encoder;
     std::vector<Record> buffer;
+    std::string payload;  ///< one block's columns, reused across blocks
     ProbeId current = 0;
     std::size_t block_records;
 
@@ -267,7 +318,7 @@ struct DatasetEncoder {
 
     void flush() {
         if (buffer.empty()) return;
-        std::string payload;
+        payload.clear();
         encoder.payload(payload, buffer);
         stream.add_block(current, buffer.size(), payload);
         buffer.clear();
@@ -283,12 +334,17 @@ struct DatasetEncoder {
         return std::move(stream.body);
     }
 
-    /// Heap held by this encoder: accumulated body, block index, and the
-    /// per-probe record buffer. For memory accounting.
+    /// Heap held by this encoder: accumulated body, block index, the
+    /// per-probe record buffer and the address dictionary. For memory
+    /// accounting.
     [[nodiscard]] std::size_t memory_bytes() const {
-        return stream.body.capacity() +
-               stream.index.capacity() * sizeof(BlockStream::IndexEntry) +
-               buffer.capacity() * sizeof(Record);
+        std::size_t bytes =
+            stream.body.capacity() +
+            stream.index.capacity() * sizeof(BlockStream::IndexEntry) +
+            buffer.capacity() * sizeof(Record) + payload.capacity();
+        if constexpr (std::is_same_v<Encoder, ConnectionEncoder>)
+            bytes += encoder.dict.memory_bytes();
+        return bytes;
     }
 };
 
@@ -312,6 +368,12 @@ struct ParsedContainer {
         std::size_t size;    ///< bytes up to the next block / footer
     };
     std::vector<Block> blocks;  ///< file order
+
+    /// Heap held by the dictionary and the block index.
+    [[nodiscard]] std::size_t memory_bytes() const {
+        return dict.capacity() * sizeof(PeerAddress) +
+               blocks.capacity() * sizeof(Block);
+    }
 };
 
 /// Parses header, tail and footer; blocks stay untouched (decoded on
@@ -384,105 +446,94 @@ ParsedContainer parse_container(std::string_view data, DatasetKind expect) {
     return parsed;
 }
 
-/// Decodes one block, bounds-checked against the index entry; `emit` is
-/// called once per record.
-template <typename Emit>
-void decode_connection_block(const ParsedContainer& parsed,
-                             const ParsedContainer::Block& block, Emit&& emit) {
+/// A cursor over `block`'s bytes past its header, once the header has been
+/// checked against the index entry.
+ByteCursor open_block(const ParsedContainer& parsed,
+                      const ParsedContainer::Block& block) {
     ByteCursor cursor(parsed.data.substr(block.offset, block.size));
     const ProbeId probe = ProbeId(cursor.varint());
     const std::uint64_t count = cursor.varint();
     if (probe != block.probe || count != block.count)
         throw ParseError("binary bundle: block header disagrees with index");
-    const std::size_t n = std::size_t(count);
-    std::vector<std::int64_t> starts(n);
+    return cursor;
+}
+
+/// Grows `out` by the block's record count and returns the new records.
+/// The payload is column-major, so the decoders below fill these records
+/// one column at a time: `out` is the only buffer a block needs.
+template <typename Record>
+std::span<Record> append_records(std::vector<Record>& out,
+                                 const ParsedContainer::Block& block) {
+    const std::size_t first = out.size();
+    out.resize(first + std::size_t(block.count));
+    return std::span<Record>(out).subspan(first);
+}
+
+/// Appends one block's records to `out`, bounds-checked against the index
+/// entry. On a ParseError `out` may hold part of the block; callers go
+/// through decode_block_atomic.
+void decode_block(const ParsedContainer& parsed,
+                  const ParsedContainer::Block& block,
+                  std::vector<ConnectionLogEntry>& out) {
+    ByteCursor cursor = open_block(parsed, block);
+    const auto records = append_records(out, block);
     std::int64_t previous = 0;
-    for (auto& start : starts) {
+    for (auto& entry : records) {
         previous += cursor.varint_signed();
-        start = previous;
+        entry.probe = block.probe;
+        entry.start = net::TimePoint(previous);
     }
-    std::vector<std::int64_t> durations(n);
-    for (auto& duration : durations) duration = cursor.varint_signed();
-    for (std::size_t i = 0; i < n; ++i) {
+    for (auto& entry : records)
+        entry.end =
+            net::TimePoint(entry.start.unix_seconds() + cursor.varint_signed());
+    for (auto& entry : records) {
         const std::uint64_t dict_index = cursor.varint();
         if (dict_index >= parsed.dict.size())
             throw ParseError("binary bundle: address index " +
                              std::to_string(dict_index) +
                              " outside dictionary of " +
                              std::to_string(parsed.dict.size()));
-        ConnectionLogEntry entry;
-        entry.probe = probe;
-        entry.start = net::TimePoint(starts[i]);
-        entry.end = net::TimePoint(starts[i] + durations[i]);
         entry.address = parsed.dict[std::size_t(dict_index)];
-        emit(entry);
     }
 }
 
-template <typename Emit>
-void decode_kroot_block(const ParsedContainer& parsed,
-                        const ParsedContainer::Block& block, Emit&& emit) {
-    ByteCursor cursor(parsed.data.substr(block.offset, block.size));
-    const ProbeId probe = ProbeId(cursor.varint());
-    const std::uint64_t count = cursor.varint();
-    if (probe != block.probe || count != block.count)
-        throw ParseError("binary bundle: block header disagrees with index");
-    const std::size_t n = std::size_t(count);
-    std::vector<std::int64_t> timestamps(n);
+void decode_block(const ParsedContainer& parsed,
+                  const ParsedContainer::Block& block,
+                  std::vector<KRootPingRecord>& out) {
+    ByteCursor cursor = open_block(parsed, block);
+    const auto records = append_records(out, block);
     std::int64_t previous = 0;
-    for (auto& ts : timestamps) {
+    for (auto& record : records) {
         previous += cursor.varint_signed();
-        ts = previous;
+        record.probe = block.probe;
+        record.timestamp = net::TimePoint(previous);
     }
-    std::vector<std::int64_t> sent(n), success(n);
-    for (auto& v : sent) v = cursor.varint_signed();
-    for (auto& v : success) v = cursor.varint_signed();
-    for (std::size_t i = 0; i < n; ++i) {
-        KRootPingRecord record;
-        record.probe = probe;
-        record.timestamp = net::TimePoint(timestamps[i]);
-        record.sent = int(sent[i]);
-        record.success = int(success[i]);
-        record.lts_seconds = cursor.varint_signed();
-        emit(record);
-    }
+    for (auto& record : records) record.sent = int(cursor.varint_signed());
+    for (auto& record : records) record.success = int(cursor.varint_signed());
+    for (auto& record : records) record.lts_seconds = cursor.varint_signed();
 }
 
-template <typename Emit>
-void decode_uptime_block(const ParsedContainer& parsed,
-                         const ParsedContainer::Block& block, Emit&& emit) {
-    ByteCursor cursor(parsed.data.substr(block.offset, block.size));
-    const ProbeId probe = ProbeId(cursor.varint());
-    const std::uint64_t count = cursor.varint();
-    if (probe != block.probe || count != block.count)
-        throw ParseError("binary bundle: block header disagrees with index");
-    const std::size_t n = std::size_t(count);
-    std::vector<std::int64_t> timestamps(n);
+void decode_block(const ParsedContainer& parsed,
+                  const ParsedContainer::Block& block,
+                  std::vector<UptimeRecord>& out) {
+    ByteCursor cursor = open_block(parsed, block);
+    const auto records = append_records(out, block);
     std::int64_t previous = 0;
-    for (auto& ts : timestamps) {
+    for (auto& record : records) {
         previous += cursor.varint_signed();
-        ts = previous;
+        record.probe = block.probe;
+        record.timestamp = net::TimePoint(previous);
     }
-    for (std::size_t i = 0; i < n; ++i) {
-        UptimeRecord record;
-        record.probe = probe;
-        record.timestamp = net::TimePoint(timestamps[i]);
-        record.uptime_seconds = cursor.varint();
-        emit(record);
-    }
+    for (auto& record : records) record.uptime_seconds = cursor.varint();
 }
 
-template <typename Emit>
-void decode_probes_block(const ParsedContainer& parsed,
-                         const ParsedContainer::Block& block, Emit&& emit) {
-    ByteCursor cursor(parsed.data.substr(block.offset, block.size));
-    const ProbeId probe = ProbeId(cursor.varint());
-    const std::uint64_t count = cursor.varint();
-    if (probe != block.probe || count != block.count)
-        throw ParseError("binary bundle: block header disagrees with index");
-    for (std::uint64_t i = 0; i < count; ++i) {
-        ProbeMetadata meta;
-        meta.probe = probe;
+void decode_block(const ParsedContainer& parsed,
+                  const ParsedContainer::Block& block,
+                  std::vector<ProbeMetadata>& out) {
+    ByteCursor cursor = open_block(parsed, block);
+    for (std::uint64_t i = 0; i < block.count; ++i) {
+        ProbeMetadata& meta = out.emplace_back();
+        meta.probe = block.probe;
         const int version = int(cursor.u8());
         if (version < 1 || version > 3)
             throw ParseError("binary bundle: bad probe version " +
@@ -495,52 +546,36 @@ void decode_probes_block(const ParsedContainer& parsed,
         for (std::size_t t = 0; t < tags; ++t)
             meta.tags.emplace_back(
                 cursor.bytes(cursor.length(cursor.remaining())));
-        emit(meta);
     }
 }
 
-/// Walks blocks in `order`, decoding each with `decode`; lenient mode
-/// swallows per-block ParseErrors and tallies them.
-template <typename DecodeBlock>
-void for_each_block(const ParsedContainer& parsed,
-                    std::span<const ParsedContainer::Block> order,
-                    bool lenient, BinaryDecodeStats* stats,
-                    DecodeBlock&& decode) {
-    for (const auto& block : order) {
-        try {
-            decode(block);
-        } catch (const ParseError&) {
-            if (!lenient) throw;
-            if (stats != nullptr) {
-                stats->rows_rejected += std::size_t(block.count);
-                ++stats->blocks_rejected;
-            }
+/// Appends `block`'s records to `out` whole or not at all. The decoders
+/// fill records as they parse, but the lenient contract is "drop the
+/// offending block": a ParseError halfway through would otherwise leave
+/// the parsed half in the output (or, streaming, in a handler that cannot
+/// un-see it) while the whole block's count is tallied as rejected. So a
+/// failed block is cut from `out` again; strict mode then rethrows, lenient
+/// mode tallies it and the caller resumes at the next indexed block.
+template <typename Record>
+void decode_block_atomic(const ParsedContainer& parsed,
+                         const ParsedContainer::Block& block, bool lenient,
+                         BinaryDecodeStats* stats, std::vector<Record>& out) {
+    const std::size_t kept = out.size();
+    try {
+        decode_block(parsed, block, out);
+    } catch (const ParseError&) {
+        out.erase(out.begin() + std::ptrdiff_t(kept), out.end());
+        if (!lenient) throw;
+        if (stats != nullptr) {
+            stats->rows_rejected += std::size_t(block.count);
+            ++stats->blocks_rejected;
         }
     }
 }
 
-/// Decodes `block` into a scratch buffer and forwards records to `sink`
-/// only once the whole block has parsed. The column decoders emit record
-/// by record, but the lenient contract is "drop the offending block":
-/// without staging, a ParseError halfway through a block would leave the
-/// already-emitted half in the output (or worse, already pushed into a
-/// streaming handler that cannot un-see it) while the whole block's count
-/// is tallied as rejected.
-template <typename Record, typename DecodeFn, typename Sink>
-void decode_block_staged(const ParsedContainer& parsed,
-                         const ParsedContainer::Block& block,
-                         DecodeFn&& decode_fn, Sink&& sink) {
-    std::vector<Record> staged;
-    staged.reserve(std::size_t(block.count));
-    decode_fn(parsed, block,
-              [&](const Record& record) { staged.push_back(record); });
-    for (Record& record : staged) sink(std::move(record));
-}
-
-template <typename Record, typename DecodeBlock>
+template <typename Record>
 std::vector<Record> decode_dataset(std::string_view data, DatasetKind kind,
-                                   bool lenient, BinaryDecodeStats* stats,
-                                   DecodeBlock&& decode_block) {
+                                   bool lenient, BinaryDecodeStats* stats) {
     std::vector<Record> records;
     ParsedContainer parsed;
     try {
@@ -552,15 +587,38 @@ std::vector<Record> decode_dataset(std::string_view data, DatasetKind kind,
         if (stats != nullptr) ++stats->blocks_rejected;
         return records;
     }
-    for_each_block(parsed, parsed.blocks, lenient, stats,
-                   [&](const ParsedContainer::Block& block) {
-                       decode_block_staged<Record>(
-                           parsed, block, decode_block,
-                           [&](Record&& record) {
-                               records.push_back(std::move(record));
-                           });
-                   });
+    for (const auto& block : parsed.blocks)
+        decode_block_atomic(parsed, block, lenient, stats, records);
     return records;
+}
+
+/// Block ordinals in ascending-probe order, file order within a probe: a
+/// stable LSD radix sort of (probe << 32 | ordinal) keys on the probe's
+/// two 16-bit digits. O(blocks) for any id up to UINT32_MAX; it reads the
+/// index once in file order and keeps 4 bytes per block.
+std::vector<std::uint32_t> probe_order(
+    std::span<const ParsedContainer::Block> blocks) {
+    if (blocks.size() > std::numeric_limits<std::uint32_t>::max())
+        throw ParseError("binary bundle: " + std::to_string(blocks.size()) +
+                         " blocks exceed the 32-bit block ordinal");
+    constexpr std::size_t kDigitValues = std::size_t(1) << 16;
+    std::vector<std::uint32_t> low(kDigitValues), high(kDigitValues);
+    for (const auto& block : blocks) {
+        ++low[block.probe & 0xFFFF];
+        ++high[block.probe >> 16];
+    }
+    // Counts become each digit value's first output slot.
+    std::exclusive_scan(low.begin(), low.end(), low.begin(), std::uint32_t(0));
+    std::exclusive_scan(high.begin(), high.end(), high.begin(),
+                        std::uint32_t(0));
+    std::vector<std::uint64_t> by_low(blocks.size());
+    for (std::uint32_t i = 0; i < blocks.size(); ++i)
+        by_low[low[blocks[i].probe & 0xFFFF]++] =
+            std::uint64_t(blocks[i].probe) << 32 | i;
+    std::vector<std::uint32_t> order(blocks.size());
+    for (const std::uint64_t key : by_low)
+        order[high[key >> 48]++] = std::uint32_t(key);
+    return order;
 }
 
 // -- file plumbing -----------------------------------------------------------
@@ -607,29 +665,122 @@ LoadedDataset load_dataset(const std::filesystem::path& path,
     return loaded;
 }
 
-template <typename Record, typename DecodeBlock>
+/// Adds a decode's lenient-mode losses to the faults.binary.* counters.
+void count_rejections(const BinaryDecodeStats& stats) {
+    if (stats.rows_rejected > 0)
+        obs::counter("faults.binary.rows_rejected").inc(stats.rows_rejected);
+    if (stats.blocks_rejected > 0)
+        obs::counter("faults.binary.blocks_rejected")
+            .inc(stats.blocks_rejected);
+}
+
+Error dataset_error(DatasetKind kind, const std::filesystem::path& path,
+                    const ParseError& e) {
+    return Error("reading dataset " + std::string(dataset_name(kind)) + " (" +
+                 path.string() + "): " + e.what());
+}
+
+template <typename Record>
 std::vector<Record> read_dataset_file(const std::filesystem::path& path,
-                                      DatasetKind kind, bool lenient,
-                                      DecodeBlock&& decode_block) {
+                                      DatasetKind kind, bool lenient) {
     const LoadedDataset loaded = load_dataset(path, kind);
     const bool effective_lenient = lenient || loaded.faulted;
     BinaryDecodeStats stats;
     std::vector<Record> records;
     try {
         records = decode_dataset<Record>(loaded.view(), kind,
-                                         effective_lenient, &stats,
-                                         decode_block);
+                                         effective_lenient, &stats);
     } catch (const ParseError& e) {
-        throw Error("reading dataset " + std::string(dataset_name(kind)) +
-                    " (" + path.string() + "): " + e.what());
+        throw dataset_error(kind, path, e);
     }
-    if (stats.rows_rejected > 0)
-        obs::counter("faults.binary.rows_rejected").inc(stats.rows_rejected);
-    if (stats.blocks_rejected > 0)
-        obs::counter("faults.binary.blocks_rejected")
-            .inc(stats.blocks_rejected);
+    count_rejections(stats);
     return records;
 }
+
+/// Blocks a stream channel gathers from its index at a time.
+constexpr std::size_t kGatherBlocks = 64;
+
+/// One dataset of a streamed bundle: the mapped file, its parsed footer,
+/// the blocks' ascending-probe order and the buffer every block decodes
+/// into. The buffer is cleared, never freed, so a block allocates only
+/// when it outgrows every block before it.
+///
+/// On a live-sink file one probe's blocks lie far apart, so each block's
+/// index entry and bytes miss in cache and TLB. Walking `order` one block
+/// at a time serializes those misses; instead the channel copies the next
+/// kGatherBlocks index entries into `window` in one tight loop, whose loads
+/// overlap, and prefetches each block's bytes as it goes.
+template <typename Record>
+struct StreamChannel {
+    LoadedDataset loaded;
+    ParsedContainer parsed;  ///< views `loaded`, so a channel never moves
+    std::vector<std::uint32_t> order;  ///< block ordinals, see probe_order
+    std::vector<Record> block_records;
+    std::array<ParsedContainer::Block, kGatherBlocks> window{};
+    std::size_t window_size = 0;  ///< blocks gathered into `window`
+    std::size_t window_next = 0;  ///< next block of `window` to deliver
+    std::size_t gathered = 0;     ///< entries of `order` gathered so far
+    bool lenient = false;
+
+    /// Maps and parses the dataset. A footer that cannot be read is fatal
+    /// in strict mode and leaves the channel empty in lenient mode.
+    void open(const std::filesystem::path& dir, DatasetKind kind,
+              bool lenient_requested) {
+        const std::filesystem::path path = dir / dataset_file(kind);
+        loaded = load_dataset(path, kind);
+        lenient = lenient_requested || loaded.faulted;
+        try {
+            parsed = parse_container(loaded.view(), kind);
+            order = probe_order(parsed.blocks);
+        } catch (const ParseError& e) {
+            if (!lenient) throw dataset_error(kind, path, e);
+            parsed.blocks.clear();
+            obs::counter("faults.binary.blocks_rejected").inc();
+        }
+        gather();
+    }
+
+    /// Refills `window` with the next entries of `order`, if any.
+    void gather() {
+        window_size = std::min(kGatherBlocks, order.size() - gathered);
+        window_next = 0;
+        for (std::size_t i = 0; i < window_size; ++i) {
+            const auto& block = window[i] = parsed.blocks[order[gathered + i]];
+            const char* bytes = parsed.data.data() + block.offset;
+            __builtin_prefetch(bytes);
+            __builtin_prefetch(bytes + block.size - 1);
+        }
+        gathered += window_size;
+    }
+
+    [[nodiscard]] bool done() const { return window_next == window_size; }
+    [[nodiscard]] ProbeId probe() const { return window[window_next].probe; }
+
+    /// Decodes `block` atomically and hands its records to `sink`.
+    template <typename Sink>
+    void deliver(const ParsedContainer::Block& block,
+                 BinaryDecodeStats& stats, Sink&& sink) {
+        block_records.clear();
+        decode_block_atomic(parsed, block, lenient, &stats, block_records);
+        for (const Record& record : block_records) sink(record);
+    }
+
+    /// Delivers every block of probe `id` at the front of the order.
+    template <typename Sink>
+    void deliver_probe(ProbeId id, BinaryDecodeStats& stats, Sink&& sink) {
+        while (!done() && probe() == id) {
+            deliver(window[window_next], stats, sink);
+            if (++window_next == window_size) gather();
+        }
+    }
+
+    /// Heap held by the index, the order and the block buffer.
+    [[nodiscard]] std::size_t memory_bytes() const {
+        return parsed.memory_bytes() +
+               order.capacity() * sizeof(std::uint32_t) +
+               block_records.capacity() * sizeof(Record);
+    }
+};
 
 void write_file(const std::filesystem::path& path, DatasetKind kind,
                 std::string_view body) {
@@ -672,37 +823,29 @@ std::string encode_probes_binary(std::span<const ProbeMetadata> probes,
 
 std::vector<ConnectionLogEntry> decode_connection_log_binary(
     std::string_view data, bool lenient, BinaryDecodeStats* stats) {
-    return decode_dataset<ConnectionLogEntry>(
-        data, DatasetKind::ConnectionLog, lenient, stats,
-        [](const ParsedContainer& parsed, const ParsedContainer::Block& block,
-           auto&& emit) { decode_connection_block(parsed, block, emit); });
+    return decode_dataset<ConnectionLogEntry>(data, DatasetKind::ConnectionLog,
+                                              lenient, stats);
 }
 
 std::vector<KRootPingRecord> decode_kroot_binary(std::string_view data,
                                                  bool lenient,
                                                  BinaryDecodeStats* stats) {
-    return decode_dataset<KRootPingRecord>(
-        data, DatasetKind::KRoot, lenient, stats,
-        [](const ParsedContainer& parsed, const ParsedContainer::Block& block,
-           auto&& emit) { decode_kroot_block(parsed, block, emit); });
+    return decode_dataset<KRootPingRecord>(data, DatasetKind::KRoot,
+                                           lenient, stats);
 }
 
 std::vector<UptimeRecord> decode_uptime_binary(std::string_view data,
                                                bool lenient,
                                                BinaryDecodeStats* stats) {
-    return decode_dataset<UptimeRecord>(
-        data, DatasetKind::Uptime, lenient, stats,
-        [](const ParsedContainer& parsed, const ParsedContainer::Block& block,
-           auto&& emit) { decode_uptime_block(parsed, block, emit); });
+    return decode_dataset<UptimeRecord>(data, DatasetKind::Uptime,
+                                        lenient, stats);
 }
 
 std::vector<ProbeMetadata> decode_probes_binary(std::string_view data,
                                                 bool lenient,
                                                 BinaryDecodeStats* stats) {
-    return decode_dataset<ProbeMetadata>(
-        data, DatasetKind::Probes, lenient, stats,
-        [](const ParsedContainer& parsed, const ParsedContainer::Block& block,
-           auto&& emit) { decode_probes_block(parsed, block, emit); });
+    return decode_dataset<ProbeMetadata>(data, DatasetKind::Probes,
+                                         lenient, stats);
 }
 
 // -- streaming writer --------------------------------------------------------
@@ -819,37 +962,25 @@ DatasetBundle read_binary_bundle(const std::string& directory, bool lenient) {
         obs::ObsSpan part("datasets.read_connection_log", "io");
         bundle.connection_log = read_dataset_file<ConnectionLogEntry>(
             dir / dataset_file(DatasetKind::ConnectionLog),
-            DatasetKind::ConnectionLog, lenient,
-            [](const ParsedContainer& parsed,
-               const ParsedContainer::Block& block,
-               auto&& emit) { decode_connection_block(parsed, block, emit); });
+            DatasetKind::ConnectionLog, lenient);
     }
     {
         obs::ObsSpan part("datasets.read_kroot", "io");
         bundle.kroot_pings = read_dataset_file<KRootPingRecord>(
             dir / dataset_file(DatasetKind::KRoot), DatasetKind::KRoot,
-            lenient,
-            [](const ParsedContainer& parsed,
-               const ParsedContainer::Block& block,
-               auto&& emit) { decode_kroot_block(parsed, block, emit); });
+            lenient);
     }
     {
         obs::ObsSpan part("datasets.read_uptime", "io");
         bundle.uptime_records = read_dataset_file<UptimeRecord>(
             dir / dataset_file(DatasetKind::Uptime), DatasetKind::Uptime,
-            lenient,
-            [](const ParsedContainer& parsed,
-               const ParsedContainer::Block& block,
-               auto&& emit) { decode_uptime_block(parsed, block, emit); });
+            lenient);
     }
     {
         obs::ObsSpan part("datasets.read_probes", "io");
         bundle.probes = read_dataset_file<ProbeMetadata>(
             dir / dataset_file(DatasetKind::Probes), DatasetKind::Probes,
-            lenient,
-            [](const ParsedContainer& parsed,
-               const ParsedContainer::Block& block,
-               auto&& emit) { decode_probes_block(parsed, block, emit); });
+            lenient);
     }
     obs::counter("datasets.rows_read")
         .inc(bundle.connection_log.size() + bundle.kroot_pings.size() +
@@ -881,129 +1012,61 @@ void stream_binary_bundle(const std::string& directory,
                       &obs::latency_histogram("datasets.stream_binary_bundle"));
     const std::filesystem::path dir(directory);
 
-    struct Dataset {
-        DatasetKind kind;
-        LoadedDataset loaded;
-        ParsedContainer parsed;
-        std::vector<ParsedContainer::Block> by_probe;  ///< stable by probe
-        bool effective_lenient = false;
-    };
-    auto load = [&](DatasetKind kind) {
-        Dataset dataset;
-        dataset.kind = kind;
-        dataset.loaded = load_dataset(dir / dataset_file(kind), kind);
-        dataset.effective_lenient = lenient || dataset.loaded.faulted;
-        try {
-            dataset.parsed = parse_container(dataset.loaded.view(), kind);
-        } catch (const ParseError& e) {
-            if (!dataset.effective_lenient)
-                throw Error("reading dataset " +
-                            std::string(dataset_name(kind)) + " (" +
-                            (dir / dataset_file(kind)).string() +
-                            "): " + e.what());
-            obs::counter("faults.binary.blocks_rejected").inc();
-        }
-        dataset.by_probe = dataset.parsed.blocks;
-        std::stable_sort(dataset.by_probe.begin(), dataset.by_probe.end(),
-                         [](const ParsedContainer::Block& a,
-                            const ParsedContainer::Block& b) {
-                             return a.probe < b.probe;
-                         });
-        return dataset;
-    };
+    // Opened in this order so a fault plan garbles the files in the same
+    // sequence as the batch reader.
+    StreamChannel<ConnectionLogEntry> connections;
+    StreamChannel<KRootPingRecord> kroot;
+    StreamChannel<UptimeRecord> uptime;
+    StreamChannel<ProbeMetadata> probes;
+    connections.open(dir, DatasetKind::ConnectionLog, lenient);
+    kroot.open(dir, DatasetKind::KRoot, lenient);
+    uptime.open(dir, DatasetKind::Uptime, lenient);
+    probes.open(dir, DatasetKind::Probes, lenient);
 
-    Dataset connections = load(DatasetKind::ConnectionLog);
-    Dataset kroot = load(DatasetKind::KRoot);
-    Dataset uptime = load(DatasetKind::Uptime);
-    Dataset probes = load(DatasetKind::Probes);
+    // Capacity accounting (mem.atlas.dab2_reader): the four channels'
+    // indexes, probe orders and block buffers; items = indexed blocks.
+    obs::MemRegistration mem{"atlas.dab2_reader"};
+    const auto publish_mem = [&] {
+        mem.report(connections.memory_bytes() + kroot.memory_bytes() +
+                       uptime.memory_bytes() + probes.memory_bytes(),
+                   connections.order.size() + kroot.order.size() +
+                       uptime.order.size() + probes.order.size());
+    };
+    publish_mem();
 
     BinaryDecodeStats stats;
     // Metadata first, in file order — the version map is last-wins and
     // geography follows archive order, matching the batch reader.
-    for_each_block(
-        probes.parsed, probes.parsed.blocks, probes.effective_lenient, &stats,
-        [&](const ParsedContainer::Block& block) {
-            decode_block_staged<ProbeMetadata>(
-                probes.parsed, block,
-                [](const ParsedContainer& parsed,
-                   const ParsedContainer::Block& inner,
-                   auto&& emit) { decode_probes_block(parsed, inner, emit); },
-                [&](const ProbeMetadata& meta) { handler.on_metadata(meta); });
+    for (const auto& block : probes.parsed.blocks)
+        probes.deliver(block, stats, [&](const ProbeMetadata& meta) {
+            handler.on_metadata(meta);
         });
 
     // Ascending-probe merge over the three record channels.
-    std::size_t ci = 0, ki = 0, ui = 0;
-    while (ci < connections.by_probe.size() || ki < kroot.by_probe.size() ||
-           ui < uptime.by_probe.size()) {
+    while (!connections.done() || !kroot.done() || !uptime.done()) {
         ProbeId next = std::numeric_limits<ProbeId>::max();
-        if (ci < connections.by_probe.size())
-            next = std::min(next, connections.by_probe[ci].probe);
-        if (ki < kroot.by_probe.size())
-            next = std::min(next, kroot.by_probe[ki].probe);
-        if (ui < uptime.by_probe.size())
-            next = std::min(next, uptime.by_probe[ui].probe);
-
-        while (ci < connections.by_probe.size() &&
-               connections.by_probe[ci].probe == next) {
-            for_each_block(
-                connections.parsed, {&connections.by_probe[ci], 1},
-                connections.effective_lenient, &stats,
-                [&](const ParsedContainer::Block& block) {
-                    decode_block_staged<ConnectionLogEntry>(
-                        connections.parsed, block,
-                        [](const ParsedContainer& parsed,
-                           const ParsedContainer::Block& inner, auto&& emit) {
-                            decode_connection_block(parsed, inner, emit);
-                        },
-                        [&](const ConnectionLogEntry& entry) {
-                            handler.on_connection(entry);
-                        });
-                });
-            ++ci;
-        }
-        while (ki < kroot.by_probe.size() &&
-               kroot.by_probe[ki].probe == next) {
-            for_each_block(
-                kroot.parsed, {&kroot.by_probe[ki], 1},
-                kroot.effective_lenient, &stats,
-                [&](const ParsedContainer::Block& block) {
-                    decode_block_staged<KRootPingRecord>(
-                        kroot.parsed, block,
-                        [](const ParsedContainer& parsed,
-                           const ParsedContainer::Block& inner, auto&& emit) {
-                            decode_kroot_block(parsed, inner, emit);
-                        },
-                        [&](const KRootPingRecord& record) {
-                            handler.on_kroot(record);
-                        });
-                });
-            ++ki;
-        }
-        while (ui < uptime.by_probe.size() &&
-               uptime.by_probe[ui].probe == next) {
-            for_each_block(
-                uptime.parsed, {&uptime.by_probe[ui], 1},
-                uptime.effective_lenient, &stats,
-                [&](const ParsedContainer::Block& block) {
-                    decode_block_staged<UptimeRecord>(
-                        uptime.parsed, block,
-                        [](const ParsedContainer& parsed,
-                           const ParsedContainer::Block& inner, auto&& emit) {
-                            decode_uptime_block(parsed, inner, emit);
-                        },
-                        [&](const UptimeRecord& record) {
-                            handler.on_uptime(record);
-                        });
-                });
-            ++ui;
-        }
+        if (!connections.done()) next = std::min(next, connections.probe());
+        if (!kroot.done()) next = std::min(next, kroot.probe());
+        if (!uptime.done()) next = std::min(next, uptime.probe());
+        connections.deliver_probe(next, stats,
+                                  [&](const ConnectionLogEntry& entry) {
+                                      handler.on_connection(entry);
+                                  });
+        kroot.deliver_probe(next, stats, [&](const KRootPingRecord& record) {
+            handler.on_kroot(record);
+        });
+        uptime.deliver_probe(next, stats, [&](const UptimeRecord& record) {
+            handler.on_uptime(record);
+        });
         handler.on_probe_complete(next);
     }
-    if (stats.rows_rejected > 0)
-        obs::counter("faults.binary.rows_rejected").inc(stats.rows_rejected);
-    if (stats.blocks_rejected > 0)
-        obs::counter("faults.binary.blocks_rejected")
-            .inc(stats.blocks_rejected);
+    count_rejections(stats);
+    // The reader's buffers die with this call, so the end-of-run memory
+    // report (--mem-report) is captured here while they and the handler's
+    // state are still alive, as the scenario runner does at the end of
+    // its plan.
+    publish_mem();
+    obs::mem_capture_final();
 }
 
 }  // namespace dynaddr::atlas

@@ -24,6 +24,19 @@
 // written per-probe sorted (DatasetBundle::sort(), the simulator's output
 // and `dynaddr convert` both qualify) byte-identically.
 //
+// Two layouts occur. write_binary_bundle and `convert` write probe-sorted
+// input, so blocks are full (512 records). The simulator's live sink
+// (`simulate --format binary`) writes records in time order with probes
+// interleaved, so every probe switch closes a block: on the paper preset
+// x5 that is ~2.2 records per connection-log block, 1.0 per uptime block,
+// and a footer index that is ~25% of the file. BM_BinaryLogParse measures
+// the first layout only; BM_StreamLiveSinkBundle the second. The stream
+// reader therefore costs per block as little as it can: the ascending-probe
+// order is an O(blocks) radix sort kept as 4-byte block ordinals, blocks
+// decode into one reused buffer per dataset, and index entries are gathered
+// and block bytes prefetched a window ahead (one probe's blocks lie
+// megabytes apart in that layout).
+//
 // Lenient decoding (fault-garbled input) drops the offending block,
 // counts its rows as rejected — the binary analogue of the CSV readers'
 // faults.csv.rows_rejected — and resumes at the next indexed block.
@@ -151,6 +164,9 @@ public:
 /// (file order), then each probe's connection/kroot/uptime records
 /// followed by on_probe_complete — exactly the StreamingPipeline feed
 /// contract — touching O(block) bytes at a time via the footer index.
+/// Its index, probe order and buffers are accounted as
+/// mem.atlas.dab2_reader, and it takes the final memory snapshot
+/// (obs::mem_capture_final) before freeing them.
 void stream_binary_bundle(const std::string& directory,
                           BundleStreamHandler& handler, bool lenient = false);
 

@@ -7,9 +7,11 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -260,6 +262,188 @@ TEST(BinaryBundle, StreamReadDeliversProbesInAscendingSealedOrder) {
     expect_equal_records(recorder.conlog, bundle.connection_log);
     EXPECT_EQ(recorder.kroot, bundle.kroot_pings.size());
     EXPECT_EQ(recorder.uptime, bundle.uptime_records.size());
+}
+
+/// Every handler call of a stream, in order, as text.
+struct SequenceRecorder : BundleStreamHandler {
+    std::vector<std::string> calls;
+    void on_metadata(const ProbeMetadata& meta) override {
+        calls.push_back("meta " + std::to_string(meta.probe) + " " +
+                        std::to_string(int(meta.version)) + " " +
+                        meta.country_code);
+    }
+    void on_connection(const ConnectionLogEntry& entry) override {
+        calls.push_back("conn " + std::to_string(entry.probe) + " " +
+                        entry.start.to_string() + " " + entry.end.to_string() +
+                        " " + entry.address.to_string());
+    }
+    void on_kroot(const KRootPingRecord& record) override {
+        calls.push_back("kroot " + std::to_string(record.probe) + " " +
+                        record.timestamp.to_string() + " " +
+                        std::to_string(record.success) + " " +
+                        std::to_string(record.lts_seconds));
+    }
+    void on_uptime(const UptimeRecord& record) override {
+        calls.push_back("uptime " + std::to_string(record.probe) + " " +
+                        record.timestamp.to_string() + " " +
+                        std::to_string(record.uptime_seconds));
+    }
+    void on_probe_complete(ProbeId probe) override {
+        calls.push_back("sealed " + std::to_string(probe));
+    }
+};
+
+/// The simulator's live-sink layout: records in time order with probes
+/// interleaved (a different interleaving each step), so every probe switch
+/// closes a block and blocks hold 1–2 records. Ids span both 16-bit
+/// halves, up to UINT32_MAX. Uptime is one record per block and its
+/// first record belongs to the first probe of step 0.
+DatasetBundle make_live_sink_records() {
+    const std::vector<ProbeId> probes = {5, 7, 65535, 65536, 4000000,
+                                         0xFFFFFFFFu};
+    DatasetBundle bundle;
+    const net::TimePoint t0 = net::TimePoint::from_date(2015, 1, 1);
+    for (ProbeId probe : probes) {
+        ProbeMetadata meta;
+        meta.probe = probe;
+        meta.country_code = probe % 2 == 0 ? "DE" : "NL";
+        bundle.probes.push_back(meta);
+    }
+    for (int step = 0; step < 8; ++step) {
+        for (std::size_t i = 0; i < probes.size(); ++i) {
+            const ProbeId probe =
+                probes[(i * 5 + std::size_t(step)) % probes.size()];
+            const net::TimePoint t = t0 + net::Duration::hours(24 * step) +
+                                     net::Duration::minutes(int(i));
+            const int records = (i + std::size_t(step)) % 3 == 0 ? 2 : 1;
+            for (int r = 0; r < records; ++r) {
+                ConnectionLogEntry entry;
+                entry.probe = probe;
+                entry.start = t + net::Duration::hours(10 * r);
+                entry.end = entry.start + net::Duration::hours(9);
+                entry.address =
+                    step % 2 == 0 ? PeerAddress::ipv4(net::IPv4Address{
+                                        0x5B370000u + std::uint32_t(step)})
+                                  : PeerAddress::ipv6_token(probe);
+                bundle.connection_log.push_back(entry);
+                KRootPingRecord ping;
+                ping.probe = probe;
+                ping.timestamp = entry.start;
+                ping.success = r + 1;
+                ping.lts_seconds = step - 3;
+                bundle.kroot_pings.push_back(ping);
+            }
+            UptimeRecord uptime;
+            uptime.probe = probe;
+            uptime.timestamp = t;
+            uptime.uptime_seconds = std::uint64_t(step) * 86400;
+            bundle.uptime_records.push_back(uptime);
+        }
+    }
+    return bundle;
+}
+
+void write_live_sink(const std::string& dir, const DatasetBundle& bundle) {
+    BinaryBundleWriter writer(dir);
+    for (const auto& meta : bundle.probes) writer.add_probe(meta);
+    for (const auto& entry : bundle.connection_log)
+        writer.add_connection(entry);
+    for (const auto& ping : bundle.kroot_pings) writer.add_kroot(ping);
+    for (const auto& uptime : bundle.uptime_records) writer.add_uptime(uptime);
+    writer.close();
+}
+
+TEST(BinaryBundle, LiveSinkLayoutStreamsLikeSortedBundle) {
+    TempDir live("live_sink"), sorted("live_sorted");
+    DatasetBundle bundle = make_live_sink_records();
+    write_live_sink(live.str(), bundle);
+    bundle.sort();
+    write_binary_bundle(sorted.str(), bundle);
+
+    SequenceRecorder from_live, from_sorted;
+    stream_binary_bundle(live.str(), from_live);
+    stream_binary_bundle(sorted.str(), from_sorted);
+    EXPECT_EQ(from_live.calls, from_sorted.calls);
+    // 6 metadata calls, every record, one seal per probe.
+    EXPECT_EQ(from_live.calls.size(),
+              6 + bundle.connection_log.size() + bundle.kroot_pings.size() +
+                  bundle.uptime_records.size() + 6);
+    EXPECT_EQ(from_live.calls.back(), "sealed 4294967295");
+}
+
+TEST(BinaryBundle, LiveSinkGarbledBlockDropsExactlyItsRecord) {
+    TempDir dir("live_garbled");
+    const DatasetBundle bundle = make_live_sink_records();
+    write_live_sink(dir.str(), bundle);
+    SequenceRecorder clean;
+    stream_binary_bundle(dir.str(), clean);
+
+    // The first block of uptime.dab (right after the 6-byte file header)
+    // holds the single first uptime record; stomp its probe varint so
+    // the header disagrees with the footer index.
+    const fs::path path = fs::path(dir.str()) / "uptime.dab";
+    std::string bytes;
+    {
+        std::ifstream in(path, std::ios::binary);
+        bytes.assign(std::istreambuf_iterator<char>(in), {});
+    }
+    bytes[6] = char(0x7F);
+    {
+        std::ofstream out(path, std::ios::binary | std::ios::trunc);
+        out << bytes;
+    }
+    EXPECT_THROW(
+        {
+            SequenceRecorder strict;
+            stream_binary_bundle(dir.str(), strict);
+        },
+        Error);
+
+    const double rows_before =
+        obs::counter("faults.binary.rows_rejected").value();
+    const double blocks_before =
+        obs::counter("faults.binary.blocks_rejected").value();
+    SequenceRecorder lenient;
+    stream_binary_bundle(dir.str(), lenient, true);
+    EXPECT_EQ(obs::counter("faults.binary.blocks_rejected").value() -
+                  blocks_before,
+              1.0);
+    EXPECT_EQ(obs::counter("faults.binary.rows_rejected").value() - rows_before,
+              1.0);
+
+    const UptimeRecord& lost = bundle.uptime_records.front();
+    const std::string lost_call = "uptime " + std::to_string(lost.probe) +
+                                  " " + lost.timestamp.to_string() + " 0";
+    std::vector<std::string> expected = clean.calls;
+    const auto it = std::find(expected.begin(), expected.end(), lost_call);
+    ASSERT_NE(it, expected.end());
+    expected.erase(it);
+    EXPECT_EQ(lenient.calls, expected);
+}
+
+TEST(BinaryBundle, DictionaryKeepsFamiliesApart) {
+    // An IPv4 address and IPv6 addresses sharing its low 32 bits (one of
+    // them ::a.b.c.d, whose high half is zero too) must get distinct
+    // dictionary codes, or one would decode as the other.
+    const std::uint32_t v4 = 0x5B37AE67u;
+    std::vector<ConnectionLogEntry> entries;
+    const net::TimePoint t = net::TimePoint::from_date(2015, 1, 1);
+    for (const PeerAddress& address :
+         {PeerAddress::ipv4(net::IPv4Address{v4}),
+          PeerAddress::ipv6(net::IPv6Address{0, v4}),
+          PeerAddress::ipv6(net::IPv6Address{0x20010db800000000ULL, v4}),
+          PeerAddress::ipv4(net::IPv4Address{v4}),
+          PeerAddress::ipv6(net::IPv6Address{0, v4})}) {
+        ConnectionLogEntry entry;
+        entry.probe = 9;
+        entry.start = t + net::Duration::hours(int(entries.size()));
+        entry.end = entry.start + net::Duration::minutes(30);
+        entry.address = address;
+        entries.push_back(entry);
+    }
+    expect_equal_records(
+        decode_connection_log_binary(encode_connection_log_binary(entries)),
+        entries);
 }
 
 TEST(BinaryBundle, LenientDecodeDropsGarbledBlocksAndCounts) {

@@ -124,6 +124,31 @@ TEST_F(ObsSmoke, MemReportWritesReconciliationJson) {
     EXPECT_FALSE(subsystems->array.empty());
     EXPECT_NE(text.find("sim.event_queue"), std::string::npos);
     EXPECT_NE(text.find("pool.address_pool"), std::string::npos);
+
+    // `analyze --streaming` runs no scenario; its report must still account
+    // for the DAB2 reader's block index, probe order and block buffers.
+    const fs::path bundle = dir_ / "bundle";
+    const fs::path analyze_report = dir_ / "analyze_mem.json";
+    const std::string simulate = std::string(DYNADDR_CLI_PATH) +
+                                 " simulate --preset quick --format binary"
+                                 " --out " + bundle.string() +
+                                 " > /dev/null 2>&1";
+    ASSERT_EQ(std::system(simulate.c_str()), 0) << simulate;
+    const std::string analyze = std::string(DYNADDR_CLI_PATH) +
+                                " analyze --streaming --data " +
+                                bundle.string() + " --mem-report " +
+                                analyze_report.string() + " > /dev/null 2>&1";
+    ASSERT_EQ(std::system(analyze.c_str()), 0) << analyze;
+    const auto analyzed = dynaddr::obs::json_parse(read_file(analyze_report));
+    ASSERT_TRUE(analyzed.has_value());
+    EXPECT_GT(analyzed->number_or("accounted_bytes", 0), 0);
+    const auto* rows = analyzed->find("subsystems");
+    ASSERT_NE(rows, nullptr);
+    double reader_bytes = 0;
+    for (const auto& row : rows->array)
+        if (row.string_or("name", "") == "atlas.dab2_reader")
+            reader_bytes = row.number_or("bytes", 0);
+    EXPECT_GT(reader_bytes, 0);
 }
 
 TEST_F(ObsSmoke, ProfileOutWritesFoldedStacks) {
