@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "atlas/binary_bundle.hpp"
+#include "atlas/kroot.hpp"
 #include "bgp/dir24_8.hpp"
 #include "core/pipeline.hpp"
 #include "netcore/bytesource.hpp"
@@ -250,6 +251,61 @@ void BM_StreamLiveSinkBundle(benchmark::State& state) {
     state.counters["blocks"] = double(blocks);
 }
 BENCHMARK(BM_StreamLiveSinkBundle)->Unit(benchmark::kMillisecond);
+
+// k-root emission for one probe over a year under the outage preset's
+// sampling policy (4 h sparse grid, 16 min dense windows around events).
+// The timeline has an event every 1 h to 2 days: address changes, network
+// outages of 10 min to 2 h and power cycles, so the sweep spends its time
+// both on sparse stretches and inside dense windows.
+void BM_KRootEmit(benchmark::State& state) {
+    const net::TimePoint t0 = net::TimePoint::from_date(2015, 1, 1);
+    const net::TimeInterval window{t0, t0 + net::Duration::days(365)};
+    rng::Stream rng(3);
+    std::uint32_t host = 1;
+    auto next_address = [&] {
+        return atlas::PeerAddress::ipv4(net::IPv4Address{0x5B370000u + host++});
+    };
+    atlas::Timeline timeline(1);
+    timeline.record_boot(t0, atlas::RebootCause::InitialPowerOn);
+    timeline.set_address(t0, next_address());
+    for (net::TimePoint t = t0;;) {
+        t += net::Duration::seconds(rng.uniform_int(3600, 2 * 86400));
+        const net::Duration outage =
+            net::Duration::seconds(rng.uniform_int(600, 7200));
+        if (t + outage >= window.end) break;
+        switch (rng.uniform_int(0, 2)) {
+            case 0:
+                timeline.net_down_begin(t);
+                timeline.net_down_end(t + outage);
+                break;
+            case 1:
+                timeline.probe_down_begin(t);
+                timeline.clear_address(t);
+                timeline.record_boot(t + outage, atlas::RebootCause::PowerCycle);
+                timeline.probe_down_end(t + outage);
+                timeline.set_address(t + outage, next_address());
+                break;
+            default:
+                timeline.set_address(t, next_address());
+        }
+        t += outage;
+    }
+    timeline.finalize(window.end);
+    const atlas::KRootSamplingPolicy policy =
+        *isp::presets::outage_scenario().kroot;
+    std::vector<atlas::KRootPingRecord> records;
+    for (auto _ : state) {
+        records.clear();
+        atlas::emit_kroot_records(timeline, window, policy, rng::Stream(7),
+                                  records);
+        benchmark::DoNotOptimize(records.data());
+        benchmark::ClobberMemory();
+    }
+    state.counters["records_per_s"] = benchmark::Counter(
+        double(records.size()), benchmark::Counter::kIsIterationInvariantRate);
+    state.counters["records"] = double(records.size());
+}
+BENCHMARK(BM_KRootEmit)->Unit(benchmark::kMicrosecond);
 
 // mmap + SIMD delimiter scan over the same CSV, projecting the columns
 // the change-extraction analyses actually touch — fields come out as

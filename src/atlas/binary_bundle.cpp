@@ -180,51 +180,101 @@ std::vector<PeerAddress> decode_dict(ByteCursor& cursor) {
     return dict;
 }
 
+/// Appends at most `max_bytes` to `out` through a raw pointer: the string
+/// is sized for the worst case once, `write` fills it and returns the end
+/// of what it wrote, and the string is trimmed back to that.
+template <typename Write>
+void append_bounded(std::string& out, std::size_t max_bytes, Write&& write) {
+    const std::size_t size = out.size();
+    out.resize(size + max_bytes);
+    char* const end = write(out.data() + size);
+    out.resize(std::size_t(end - out.data()));
+}
+
 /// Shared streaming encoder state for one dataset file: block buffering,
 /// block index, footer/tail emission. The typed wrappers below own the
 /// record buffer and the columnar payload layout.
+///
+/// The live writer opens the stream's file up front and appends the
+/// buffered bytes to it whenever they pass kSpillBytes, so it holds at most
+/// about that much of the file, plus the encoded block index, in memory.
+/// The in-memory codecs leave the file closed and get the whole file back
+/// in `body`.
 struct BlockStream {
-    std::string body;  ///< header + blocks so far
-    struct IndexEntry {
-        ProbeId probe;
-        std::uint64_t offset;
-        std::uint64_t count;
-    };
-    std::vector<IndexEntry> index;
+    static constexpr std::size_t kSpillBytes = std::size_t(256) << 10;
 
-    explicit BlockStream(DatasetKind kind) {
+    DatasetKind kind;
+    std::string body;               ///< file bytes not yet written out
+    std::uint64_t body_offset = 0;  ///< file offset of body[0]
+    std::string index;              ///< the footer's block index, encoded
+    std::uint64_t blocks = 0;
+    std::uint64_t last_block_offset = 0;
+    std::ofstream file;
+    std::filesystem::path path;
+
+    explicit BlockStream(DatasetKind kind_) : kind(kind_) {
         body.append(kHeaderMagic, sizeof kHeaderMagic);
         body.push_back(char(std::uint8_t(kind)));
         body.push_back(char(kFormatVersion));
     }
 
-    void add_block(ProbeId probe, std::uint64_t count,
-                   std::string_view payload) {
-        index.push_back({probe, body.size(), count});
-        put_varint(body, probe);
-        put_varint(body, count);
-        body.append(payload);
+    /// Makes this a live stream writing to `path_`.
+    void open(const std::filesystem::path& path_) {
+        path = path_;
+        file.open(path, std::ios::binary | std::ios::trunc);
+        if (!file)
+            throw Error("cannot open " + path.string() +
+                        " for writing (dataset " + dataset_name(kind) + ")");
     }
 
-    /// Appends footer + tail; the stream is complete afterwards.
+    void add_block(ProbeId probe, std::uint64_t count,
+                   std::string_view payload) {
+        const std::uint64_t offset = body_offset + body.size();
+        char header[2 * net::kMaxVarintBytes];
+        char* const header_end = put_varint(put_varint(header, probe), count);
+        body.append(header, std::size_t(header_end - header));
+        body.append(payload);
+        append_bounded(index, 3 * net::kMaxVarintBytes, [&](char* out) {
+            out = put_varint(out, probe);
+            out = put_varint(out, offset - last_block_offset);
+            return put_varint(out, count);
+        });
+        last_block_offset = offset;
+        ++blocks;
+        if (file.is_open() && body.size() >= kSpillBytes) spill();
+    }
+
+    /// Appends footer + tail; the stream is complete afterwards. A live
+    /// stream writes out the rest of its file and closes it.
     void finish(const AddressDict* dict) {
-        const std::uint64_t footer_offset = body.size();
+        const std::uint64_t footer_offset = body_offset + body.size();
         if (dict != nullptr) {
             dict->encode(body);
         } else {
             put_varint(body, 0);  // empty dictionary
         }
-        put_varint(body, index.size());
-        std::uint64_t previous = 0;
-        for (const auto& entry : index) {
-            put_varint(body, entry.probe);
-            put_varint(body, entry.offset - previous);
-            previous = entry.offset;
-            put_varint(body, entry.count);
-        }
+        put_varint(body, blocks);
+        body.append(index);
         for (int shift = 0; shift < 64; shift += 8)
             body.push_back(char((footer_offset >> shift) & 0xFF));
         body.append(kTailMagic, sizeof kTailMagic);
+        if (!file.is_open()) return;
+        spill();
+        file.close();
+        if (!file) throw write_failed();
+    }
+
+private:
+    void spill() {
+        file.write(body.data(), std::streamsize(body.size()));
+        if (!file) throw write_failed();
+        body_offset += body.size();
+        body.clear();
+    }
+
+    [[nodiscard]] Error write_failed() const {
+        return Error("write failed on " + path.string() + " (dataset " +
+                     dataset_name(kind) + ")");
     }
 };
 
@@ -233,15 +283,18 @@ struct ConnectionEncoder {
     AddressDict dict;
     static ProbeId probe_of(const ConnectionLogEntry& e) { return e.probe; }
     void payload(std::string& out, std::span<const ConnectionLogEntry> block) {
-        std::int64_t previous = 0;
-        for (const auto& e : block) {
-            put_varint_signed(out, e.start.unix_seconds() - previous);
-            previous = e.start.unix_seconds();
-        }
-        for (const auto& e : block)
-            put_varint_signed(out,
-                              e.end.unix_seconds() - e.start.unix_seconds());
-        for (const auto& e : block) put_varint(out, dict.index_of(e.address));
+        append_bounded(out, block.size() * 3 * net::kMaxVarintBytes, [&](char* p) {
+            std::int64_t previous = 0;
+            for (const auto& e : block) {
+                p = put_varint_signed(p, e.start.unix_seconds() - previous);
+                previous = e.start.unix_seconds();
+            }
+            for (const auto& e : block)
+                p = put_varint_signed(
+                    p, e.end.unix_seconds() - e.start.unix_seconds());
+            for (const auto& e : block) p = put_varint(p, dict.index_of(e.address));
+            return p;
+        });
     }
 };
 
@@ -250,14 +303,17 @@ struct KRootEncoder {
     static ProbeId probe_of(const KRootPingRecord& r) { return r.probe; }
     static void payload(std::string& out,
                         std::span<const KRootPingRecord> block) {
-        std::int64_t previous = 0;
-        for (const auto& r : block) {
-            put_varint_signed(out, r.timestamp.unix_seconds() - previous);
-            previous = r.timestamp.unix_seconds();
-        }
-        for (const auto& r : block) put_varint_signed(out, r.sent);
-        for (const auto& r : block) put_varint_signed(out, r.success);
-        for (const auto& r : block) put_varint_signed(out, r.lts_seconds);
+        append_bounded(out, block.size() * 4 * net::kMaxVarintBytes, [&](char* p) {
+            std::int64_t previous = 0;
+            for (const auto& r : block) {
+                p = put_varint_signed(p, r.timestamp.unix_seconds() - previous);
+                previous = r.timestamp.unix_seconds();
+            }
+            for (const auto& r : block) p = put_varint_signed(p, r.sent);
+            for (const auto& r : block) p = put_varint_signed(p, r.success);
+            for (const auto& r : block) p = put_varint_signed(p, r.lts_seconds);
+            return p;
+        });
     }
 };
 
@@ -266,12 +322,15 @@ struct UptimeEncoder {
     static ProbeId probe_of(const UptimeRecord& r) { return r.probe; }
     static void payload(std::string& out,
                         std::span<const UptimeRecord> block) {
-        std::int64_t previous = 0;
-        for (const auto& r : block) {
-            put_varint_signed(out, r.timestamp.unix_seconds() - previous);
-            previous = r.timestamp.unix_seconds();
-        }
-        for (const auto& r : block) put_varint(out, r.uptime_seconds);
+        append_bounded(out, block.size() * 2 * net::kMaxVarintBytes, [&](char* p) {
+            std::int64_t previous = 0;
+            for (const auto& r : block) {
+                p = put_varint_signed(p, r.timestamp.unix_seconds() - previous);
+                previous = r.timestamp.unix_seconds();
+            }
+            for (const auto& r : block) p = put_varint(p, r.uptime_seconds);
+            return p;
+        });
     }
 };
 
@@ -280,16 +339,27 @@ struct ProbesEncoder {
     static ProbeId probe_of(const ProbeMetadata& p) { return p.probe; }
     static void payload(std::string& out,
                         std::span<const ProbeMetadata> block) {
+        // Per probe: version byte, two length-prefixed fields and one
+        // length prefix per tag.
+        std::size_t max_bytes = 0;
         for (const auto& p : block) {
-            out.push_back(char(int(p.version)));
-            put_varint(out, p.country_code.size());
-            out.append(p.country_code);
-            put_varint(out, p.tags.size());
-            for (const auto& tag : p.tags) {
-                put_varint(out, tag.size());
-                out.append(tag);
-            }
+            max_bytes += 1 + 2 * net::kMaxVarintBytes + p.country_code.size();
+            for (const auto& tag : p.tags)
+                max_bytes += net::kMaxVarintBytes + tag.size();
         }
+        auto put_text = [](char* out, const std::string& text) {
+            out = put_varint(out, text.size());
+            return std::copy(text.begin(), text.end(), out);
+        };
+        append_bounded(out, max_bytes, [&](char* out_p) {
+            for (const auto& p : block) {
+                *out_p++ = char(int(p.version));
+                out_p = put_text(out_p, p.country_code);
+                out_p = put_varint(out_p, p.tags.size());
+                for (const auto& tag : p.tags) out_p = put_text(out_p, tag);
+            }
+            return out_p;
+        });
     }
 };
 
@@ -324,24 +394,23 @@ struct DatasetEncoder {
         buffer.clear();
     }
 
-    std::string finish() {
+    /// Flushes the last block and completes the stream.
+    void finish() {
         flush();
         if constexpr (std::is_same_v<Encoder, ConnectionEncoder>) {
             stream.finish(&encoder.dict);
         } else {
             stream.finish(nullptr);
         }
-        return std::move(stream.body);
     }
 
-    /// Heap held by this encoder: accumulated body, block index, the
-    /// per-probe record buffer and the address dictionary. For memory
-    /// accounting.
+    /// Heap held by this encoder: buffered file bytes, encoded block
+    /// index, the per-probe record buffer and the address dictionary. For
+    /// memory accounting.
     [[nodiscard]] std::size_t memory_bytes() const {
-        std::size_t bytes =
-            stream.body.capacity() +
-            stream.index.capacity() * sizeof(BlockStream::IndexEntry) +
-            buffer.capacity() * sizeof(Record) + payload.capacity();
+        std::size_t bytes = stream.body.capacity() + stream.index.capacity() +
+                            buffer.capacity() * sizeof(Record) +
+                            payload.capacity();
         if constexpr (std::is_same_v<Encoder, ConnectionEncoder>)
             bytes += encoder.dict.memory_bytes();
         return bytes;
@@ -353,7 +422,8 @@ std::string encode_dataset(std::span<const Record> records,
                            std::size_t block_records) {
     DatasetEncoder<Record, Encoder> encoder(block_records);
     for (const auto& record : records) encoder.add(record);
-    return encoder.finish();
+    encoder.finish();
+    return std::move(encoder.stream.body);
 }
 
 // -- decoding ----------------------------------------------------------------
@@ -859,7 +929,8 @@ struct BinaryBundleWriter::Impl {
     DatasetEncoder<ProbeMetadata, ProbesEncoder> probes;
     bool closed = false;
     /// Capacity accounting (mem.atlas.dab2_writer): the four encoders'
-    /// bodies + buffers, published every 1024 records and at close.
+    /// unwritten bytes, block indexes and buffers, published every 1024
+    /// records and at close.
     obs::MemRegistration mem{"atlas.dab2_writer"};
     std::size_t mem_ops = 0;
     std::uint64_t records_added = 0;
@@ -882,6 +953,10 @@ struct BinaryBundleWriter::Impl {
           uptime(block_records_),
           probes(block_records_) {
         std::filesystem::create_directories(directory);
+        connections.stream.open(directory / dataset_file(DatasetKind::ConnectionLog));
+        kroot.stream.open(directory / dataset_file(DatasetKind::KRoot));
+        uptime.stream.open(directory / dataset_file(DatasetKind::Uptime));
+        probes.stream.open(directory / dataset_file(DatasetKind::Probes));
     }
 };
 
@@ -922,14 +997,10 @@ void BinaryBundleWriter::close() {
     if (impl_->closed) return;
     impl_->closed = true;
     impl_->publish_mem();
-    write_file(impl_->directory / dataset_file(DatasetKind::ConnectionLog),
-               DatasetKind::ConnectionLog, impl_->connections.finish());
-    write_file(impl_->directory / dataset_file(DatasetKind::KRoot),
-               DatasetKind::KRoot, impl_->kroot.finish());
-    write_file(impl_->directory / dataset_file(DatasetKind::Uptime),
-               DatasetKind::Uptime, impl_->uptime.finish());
-    write_file(impl_->directory / dataset_file(DatasetKind::Probes),
-               DatasetKind::Probes, impl_->probes.finish());
+    impl_->connections.finish();
+    impl_->kroot.finish();
+    impl_->uptime.finish();
+    impl_->probes.finish();
 }
 
 // -- whole-bundle I/O --------------------------------------------------------

@@ -66,10 +66,13 @@ public:
 };
 
 /// Streaming writer: appends records into per-probe columnar blocks,
-/// flushing a block to disk when it reaches `block_records` records or
-/// the incoming probe id changes. close() (or destruction) writes the
-/// footers; a writer left unclosed by an exception leaves truncated but
-/// detectably-invalid files (no tail magic).
+/// closing a block when it reaches `block_records` records or the
+/// incoming probe id changes. The four dataset files are opened at
+/// construction, and completed blocks are appended to them whenever more
+/// than a fixed 256 KiB per dataset is buffered, so the writer's memory is
+/// that buffer plus the encoded block index, not the whole file. close()
+/// (or destruction) writes the footers; a writer that never reaches
+/// close() leaves truncated but detectably-invalid files (no tail magic).
 class BinaryBundleWriter final : public BundleSink {
 public:
     explicit BinaryBundleWriter(const std::string& directory,

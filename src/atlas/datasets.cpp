@@ -83,6 +83,21 @@ void for_each_row(csv::ScanReader& reader, bool lenient, Fn&& fn) {
     }
 }
 
+/// Sorts `records` by `less` unless they are already strictly increasing in
+/// it: any sort returns such a sequence unchanged, so skipping it cannot
+/// change the result. Merely non-decreasing input is still sorted, since
+/// std::sort may reorder equal keys.
+template <typename Record, typename Less>
+void sort_unless_strictly_ordered(std::vector<Record>& records, Less less) {
+    const auto not_before = [&](const Record& a, const Record& b) {
+        return !less(a, b);
+    };
+    if (std::adjacent_find(records.begin(), records.end(), not_before) ==
+        records.end())
+        return;
+    std::sort(records.begin(), records.end(), less);
+}
+
 }  // namespace
 
 std::string PeerAddress::to_string() const {
@@ -105,17 +120,17 @@ void DatasetBundle::sort() {
         if (a.probe != b.probe) return a.probe < b.probe;
         return a.timestamp < b.timestamp;
     };
-    std::sort(connection_log.begin(), connection_log.end(),
-              [](const ConnectionLogEntry& a, const ConnectionLogEntry& b) {
-                  if (a.probe != b.probe) return a.probe < b.probe;
-                  return a.start < b.start;
-              });
-    std::sort(kroot_pings.begin(), kroot_pings.end(), by_probe_time);
-    std::sort(uptime_records.begin(), uptime_records.end(), by_probe_time);
-    std::sort(probes.begin(), probes.end(),
-              [](const ProbeMetadata& a, const ProbeMetadata& b) {
-                  return a.probe < b.probe;
-              });
+    sort_unless_strictly_ordered(
+        connection_log, [](const ConnectionLogEntry& a, const ConnectionLogEntry& b) {
+            if (a.probe != b.probe) return a.probe < b.probe;
+            return a.start < b.start;
+        });
+    sort_unless_strictly_ordered(kroot_pings, by_probe_time);
+    sort_unless_strictly_ordered(uptime_records, by_probe_time);
+    sort_unless_strictly_ordered(probes,
+                                 [](const ProbeMetadata& a, const ProbeMetadata& b) {
+                                     return a.probe < b.probe;
+                                 });
 }
 
 void write_connection_log_csv(std::ostream& out,

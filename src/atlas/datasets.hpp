@@ -100,7 +100,9 @@ struct DatasetBundle {
     std::vector<ProbeMetadata> probes;
 
     /// Sorts every dataset by (probe, time) — emitters append per-probe,
-    /// so a global sort makes downstream scans deterministic.
+    /// so a global sort makes downstream scans deterministic. A dataset
+    /// already strictly increasing in its key (the simulator's k-root
+    /// records) is left as it is, which is what any sort would return.
     void sort();
 };
 

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <vector>
 
 #include "atlas/datasets.hpp"
@@ -28,15 +29,41 @@ struct KRootSamplingPolicy {
     double partial_loss_probability = 0.002;
 };
 
-/// Generates k-root ping records for one probe over `window`. The
-/// timeline must be finalized. Records are emitted only while the probe
-/// is running (a powered-off probe measures nothing); all pings fail when
-/// the network is down or no address is held, and the LTS value grows
+/// Appends the k-root ping records of one probe over `window` to `out`.
+/// The timeline must be finalized. Records are emitted only while the
+/// probe is running (a powered-off probe measures nothing); all pings fail
+/// when the network is down or no address is held, and the LTS value grows
 /// from the moment connectivity was lost — exactly the signature the
 /// paper's detector (Table 3) keys on.
-std::vector<KRootPingRecord> emit_kroot_records(const Timeline& timeline,
-                                                net::TimeInterval window,
-                                                const KRootSamplingPolicy& policy,
-                                                rng::Stream rng);
+///
+/// Sampling instants are the grid `window.begin + k * dense_cadence`
+/// restricted to the sparse grid (every `base_cadence`) outside the merged
+/// dense windows `[e - dense_window, e + dense_window)` around the
+/// timeline's event times. The emitter walks them in one ascending sweep:
+/// the instants come from merging the sparse grid with the dense windows,
+/// and probe, network and address state from forward-only cursors over the
+/// timeline's sorted, disjoint intervals (the Timeline builder contract),
+/// so the cost is O(records + events). Records are appended in strictly
+/// increasing timestamp order.
+void emit_kroot_records(const Timeline& timeline, net::TimeInterval window,
+                        const KRootSamplingPolicy& policy, rng::Stream rng,
+                        std::vector<KRootPingRecord>& out);
+
+/// Convenience form returning the records of one probe.
+inline std::vector<KRootPingRecord> emit_kroot_records(
+    const Timeline& timeline, net::TimeInterval window,
+    const KRootSamplingPolicy& policy, rng::Stream rng) {
+    std::vector<KRootPingRecord> records;
+    emit_kroot_records(timeline, window, policy, rng, records);
+    return records;
+}
+
+/// The number of sampling instants emit_kroot_records visits for
+/// `timeline`: an upper bound on the records it appends (instants while
+/// the probe is down emit nothing). O(events) arithmetic, for sizing the
+/// output once up front.
+[[nodiscard]] std::size_t kroot_instant_count(const Timeline& timeline,
+                                              net::TimeInterval window,
+                                              const KRootSamplingPolicy& policy);
 
 }  // namespace dynaddr::atlas

@@ -9,21 +9,32 @@
 
 namespace dynaddr::core {
 
+namespace {
+
+/// Pings were sent and none came back. The run scan and the skip test
+/// share this one predicate, so every record either starts a run or is
+/// skipped: a garbled count (negative sent or success) is simply not an
+/// all-lost record, and the scan always advances.
+bool all_lost(const atlas::KRootPingRecord& record) {
+    return record.sent > 0 && record.success == 0;
+}
+
+}  // namespace
+
 std::vector<DetectedOutage> detect_network_outages(
     std::span<const atlas::KRootPingRecord> records,
     const OutageDetectorConfig& config) {
     std::vector<DetectedOutage> outages;
     std::size_t i = 0;
     while (i < records.size()) {
-        if (records[i].sent == 0 || records[i].success > 0) {
+        if (!all_lost(records[i])) {
             ++i;
             continue;
         }
         // Maximal run of all-lost records.
         std::size_t j = i;
         std::int64_t max_lts = 0;
-        while (j < records.size() && records[j].sent > 0 &&
-               records[j].success == 0) {
+        while (j < records.size() && all_lost(records[j])) {
             max_lts = std::max(max_lts, records[j].lts_seconds);
             ++j;
         }

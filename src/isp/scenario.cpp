@@ -431,15 +431,22 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
     world.controller.drain_into(result.bundle);
 
     if (config.kroot) {
+        // Emitted straight into the bundle, sized once for every probe's
+        // sampling instants; the sink reads each probe's appended range.
+        auto& kroot = result.bundle.kroot_pings;
+        std::size_t instants = kroot.size();
+        for (const auto& timeline : world.timelines)
+            instants += atlas::kroot_instant_count(timeline, config.window,
+                                                   *config.kroot);
+        kroot.reserve(instants);
+        const auto kroot_rng = root.child("kroot");
         for (const auto& timeline : world.timelines) {
-            auto records = atlas::emit_kroot_records(
-                timeline, config.window, *config.kroot,
-                root.child("kroot").child(timeline.probe()));
+            const std::size_t first = kroot.size();
+            atlas::emit_kroot_records(timeline, config.window, *config.kroot,
+                                      kroot_rng.child(timeline.probe()), kroot);
             if (config.bundle_sink != nullptr)
-                for (const auto& record : records)
-                    config.bundle_sink->add_kroot(record);
-            result.bundle.kroot_pings.insert(result.bundle.kroot_pings.end(),
-                                             records.begin(), records.end());
+                for (std::size_t i = first; i < kroot.size(); ++i)
+                    config.bundle_sink->add_kroot(kroot[i]);
         }
     }
 

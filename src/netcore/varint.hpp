@@ -24,6 +24,22 @@ inline void put_varint(std::string& out, std::uint64_t value) {
     out.push_back(static_cast<char>(value));
 }
 
+/// The longest LEB128 encoding of a 64-bit value.
+inline constexpr std::size_t kMaxVarintBytes = 10;
+
+/// Writes `value` at `out` as an unsigned LEB128 varint and returns the
+/// byte past it. The caller guarantees kMaxVarintBytes of room; encoders
+/// size a buffer for the worst case, write through the pointer and trim,
+/// which skips the per-byte capacity checks of the std::string form.
+inline char* put_varint(char* out, std::uint64_t value) {
+    while (value >= 0x80) {
+        *out++ = static_cast<char>(static_cast<std::uint8_t>(value) | 0x80);
+        value >>= 7;
+    }
+    *out++ = static_cast<char>(value);
+    return out;
+}
+
 /// ZigZag maps signed to unsigned so small-magnitude negatives stay
 /// short: 0,-1,1,-2,... -> 0,1,2,3,...
 inline constexpr std::uint64_t zigzag_encode(std::int64_t value) {
@@ -38,6 +54,10 @@ inline constexpr std::int64_t zigzag_decode(std::uint64_t value) {
 
 inline void put_varint_signed(std::string& out, std::int64_t value) {
     put_varint(out, zigzag_encode(value));
+}
+
+inline char* put_varint_signed(char* out, std::int64_t value) {
+    return put_varint(out, zigzag_encode(value));
 }
 
 /// Zero-copy reader over an immutable byte buffer. Never reads past the

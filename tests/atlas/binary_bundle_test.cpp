@@ -18,6 +18,7 @@
 
 #include "atlas/binary_bundle.hpp"
 #include "netcore/error.hpp"
+#include "netcore/obs/memaccount.hpp"
 #include "netcore/obs/metrics.hpp"
 #include "netcore/rng.hpp"
 #include "sim/faults.hpp"
@@ -206,6 +207,73 @@ TEST(BinaryBundle, StreamingWriterMatchesBatchWriter) {
     expect_equal_records(back.kroot_pings, bundle.kroot_pings);
     expect_equal_records(back.uptime_records, bundle.uptime_records);
     expect_equal_records(back.probes, bundle.probes);
+}
+
+TEST(BinaryBundle, LiveWriterSpillsBlocksWithIdenticalBytes) {
+    // Megabytes of records in the live sink's interleaved layout: the
+    // writer must append completed blocks to its files as it goes, keep
+    // its accounted memory well under the file size, and still write
+    // exactly what the in-memory encoder produces.
+    TempDir dir("spill");
+    std::vector<ConnectionLogEntry> connections;
+    std::vector<KRootPingRecord> kroot;
+    std::vector<UptimeRecord> uptime;
+    std::vector<ProbeMetadata> probes;
+    rng::Stream rng(5);
+    const net::TimePoint t0 = net::TimePoint::from_date(2015, 1, 1);
+    for (int i = 0; i < 1'000'000; ++i) {
+        const ProbeId probe = ProbeId(1 + (i / 8) % 97);
+        const net::TimePoint t = t0 + net::Duration::seconds(i * 30);
+        kroot.push_back({probe, t, 3, int(rng.uniform_int(0, 3)),
+                         rng.uniform_int(10, 5000)});
+        if (i % 4 == 0) uptime.push_back({probe, t, std::uint64_t(i)});
+        if (i % 64 == 0)
+            connections.push_back(
+                {probe, t, t + net::Duration::seconds(600),
+                 PeerAddress::ipv4(net::IPv4Address{
+                     0x0A000000u + std::uint32_t(rng.uniform_int(0, 999))})});
+    }
+    for (ProbeId probe = 1; probe <= 97; ++probe)
+        probes.push_back({probe, ProbeVersion::V3, "DE", {"home"}});
+
+    const auto writer_bytes = [] {
+        for (const auto& row : obs::mem_report().subsystems)
+            if (row.name == "atlas.dab2_writer") return row.bytes;
+        return std::uint64_t(0);
+    };
+    const fs::path kroot_file = fs::path(dir.str()) / "kroot.dab";
+    std::uint64_t peak_writer_bytes = 0;
+    {
+        BinaryBundleWriter writer(dir.str());
+        for (std::size_t i = 0; i < kroot.size(); ++i) {
+            writer.add_kroot(kroot[i]);
+            if (i % 4 == 0) writer.add_uptime(uptime[i / 4]);
+            if (i % 64 == 0) writer.add_connection(connections[i / 64]);
+            if (i % 65536 == 0)
+                peak_writer_bytes = std::max(peak_writer_bytes, writer_bytes());
+        }
+        for (const auto& meta : probes) writer.add_probe(meta);
+        EXPECT_GT(fs::file_size(kroot_file), 0u)
+            << "no block reached the file before close()";
+        writer.close();
+    }
+    const auto read = [&](const char* name) {
+        std::ifstream in(fs::path(dir.str()) / name, std::ios::binary);
+        return std::string(std::istreambuf_iterator<char>(in), {});
+    };
+    const std::string files[] = {read("kroot.dab"), read("uptime.dab"),
+                                 read("connection_log.dab"), read("probes.dab")};
+    EXPECT_TRUE(files[0] == encode_kroot_binary(kroot));
+    EXPECT_TRUE(files[1] == encode_uptime_binary(uptime));
+    EXPECT_TRUE(files[2] == encode_connection_log_binary(connections));
+    EXPECT_TRUE(files[3] == encode_probes_binary(probes));
+    // A writer that kept every file in memory would account for at least
+    // their total size.
+    std::size_t total = 0;
+    for (const auto& file : files) total += file.size();
+    EXPECT_GT(files[0].size(), std::size_t(4) << 20);
+    EXPECT_GT(peak_writer_bytes, 0u);
+    EXPECT_LT(peak_writer_bytes, total / 2);
 }
 
 TEST(BinaryBundle, InterleavedProbesStillRoundTrip) {

@@ -4,8 +4,12 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "netcore/error.hpp"
 
@@ -115,6 +119,100 @@ TEST(Datasets, BundleSortOrdersByProbeThenTime) {
     EXPECT_EQ(bundle.connection_log[1].start.unix_seconds(), 300);
     EXPECT_EQ(bundle.connection_log[2].probe, 2u);
     EXPECT_EQ(bundle.kroot_pings[0].probe, 4u);
+}
+
+/// Every field of the records, so a reordering of equal keys shows.
+std::vector<std::string> rows_of(const DatasetBundle& bundle) {
+    std::vector<std::string> rows;
+    for (const auto& e : bundle.connection_log)
+        rows.push_back("c " + std::to_string(e.probe) + ' ' + e.start.to_string() +
+                       ' ' + e.end.to_string() + ' ' + e.address.to_string());
+    for (const auto& r : bundle.kroot_pings)
+        rows.push_back("k " + std::to_string(r.probe) + ' ' +
+                       r.timestamp.to_string() + ' ' + std::to_string(r.success) +
+                       ' ' + std::to_string(r.lts_seconds));
+    for (const auto& r : bundle.uptime_records)
+        rows.push_back("u " + std::to_string(r.probe) + ' ' +
+                       r.timestamp.to_string() + ' ' +
+                       std::to_string(r.uptime_seconds));
+    for (const auto& p : bundle.probes)
+        rows.push_back("p " + std::to_string(p.probe) + ' ' + p.country_code);
+    return rows;
+}
+
+/// What a plain std::sort of each dataset gives.
+DatasetBundle plainly_sorted(DatasetBundle bundle) {
+    auto by_probe_time = [](const auto& a, const auto& b) {
+        if (a.probe != b.probe) return a.probe < b.probe;
+        return a.timestamp < b.timestamp;
+    };
+    std::sort(bundle.connection_log.begin(), bundle.connection_log.end(),
+              [](const ConnectionLogEntry& a, const ConnectionLogEntry& b) {
+                  if (a.probe != b.probe) return a.probe < b.probe;
+                  return a.start < b.start;
+              });
+    std::sort(bundle.kroot_pings.begin(), bundle.kroot_pings.end(), by_probe_time);
+    std::sort(bundle.uptime_records.begin(), bundle.uptime_records.end(),
+              by_probe_time);
+    std::sort(bundle.probes.begin(), bundle.probes.end(),
+              [](const ProbeMetadata& a, const ProbeMetadata& b) {
+                  return a.probe < b.probe;
+              });
+    return bundle;
+}
+
+/// `n` records of each dataset; key(i) gives record i's (probe, time).
+template <typename Key>
+DatasetBundle bundle_of(int n, Key key) {
+    DatasetBundle bundle;
+    for (int i = 0; i < n; ++i) {
+        const auto [probe, at] = key(i);
+        const TimePoint t{at};
+        bundle.connection_log.push_back(
+            {probe, t, t + net::Duration::seconds(60),
+             PeerAddress::ipv4(IPv4Address(std::uint32_t(0x0A000000 + i)))});
+        bundle.kroot_pings.push_back({probe, t, 3, i % 4, std::int64_t(i)});
+        bundle.uptime_records.push_back({probe, t, std::uint64_t(i)});
+        bundle.probes.push_back(
+            {probe, ProbeVersion::V3, std::to_string(i), {}});
+    }
+    return bundle;
+}
+
+TEST(Datasets, BundleSortKeepsStrictlyOrderedAndSortsTheRest) {
+    const int n = 600;  // past std::sort's insertion-sort cutoff
+    const std::vector<std::pair<const char*, DatasetBundle>> cases = {
+        {"strictly ordered", bundle_of(n, [](int i) {
+             return std::pair{ProbeId(1 + i / 50), std::int64_t(i % 50) * 240};
+         })},
+        {"unordered", bundle_of(n, [](int i) {
+             return std::pair{ProbeId(1 + (i * 7919) % 13),
+                              std::int64_t((i * 104729) % 1000)};
+         })},
+        {"equal keys in order", bundle_of(n, [](int i) {
+             return std::pair{ProbeId(1 + i / 300), std::int64_t(0)};
+         })},
+        {"one step back", bundle_of(n, [](int i) {
+             return std::pair{ProbeId(1), std::int64_t(i == n - 1 ? 0 : i + 1)};
+         })},
+    };
+    for (const auto& [name, input] : cases) {
+        SCOPED_TRACE(name);
+        DatasetBundle bundle = input;
+        bundle.sort();
+        EXPECT_EQ(rows_of(bundle), rows_of(plainly_sorted(input)));
+    }
+    // The equal-key case is only a check when std::sort really reorders
+    // equal keys; then skipping merely non-decreasing input would differ.
+    const DatasetBundle& equal_keys = cases[2].second;
+    EXPECT_NE(rows_of(plainly_sorted(equal_keys)), rows_of(equal_keys));
+    // Strictly ordered input comes back unchanged (its metadata repeats
+    // probe ids, so it is left out here).
+    DatasetBundle ordered = cases[0].second;
+    ordered.probes.clear();
+    const auto before = rows_of(ordered);
+    ordered.sort();
+    EXPECT_EQ(rows_of(ordered), before);
 }
 
 TEST(Datasets, BundleDirectoryRoundTrip) {

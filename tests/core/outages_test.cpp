@@ -68,6 +68,27 @@ TEST(NetworkOutages, EmptyAndAllHealthy) {
     EXPECT_TRUE(detect_network_outages(healthy).empty());
 }
 
+TEST(NetworkOutages, MalformedCountsDoNotStallTheScan) {
+    // Fault-garbled rows carry negative counts. Such a record is neither
+    // skipped as healthy nor part of an all-lost run under separate tests,
+    // so the scan must still move past it; it breaks a run like a healthy
+    // record does.
+    auto garbled = [](std::int64_t at, int sent, int success) {
+        return KRootPingRecord{16893, TimePoint{at}, sent, success, 900};
+    };
+    const std::vector<KRootPingRecord> records = {
+        ping(0, 3, 100),         garbled(240, -1, 0),  ping(480, 0, 500),
+        garbled(720, 3, -2),     ping(960, 0, 700),    ping(1200, 0, 800),
+        garbled(1440, -3, -3),   garbled(1680, 0, -1), ping(1920, 3, 100),
+    };
+    const auto outages = detect_network_outages(records);
+    ASSERT_EQ(outages.size(), 2u);
+    EXPECT_EQ(outages[0].begin.unix_seconds(), 480);
+    EXPECT_EQ(outages[0].end.unix_seconds(), 480);
+    EXPECT_EQ(outages[1].begin.unix_seconds(), 960);
+    EXPECT_EQ(outages[1].end.unix_seconds(), 1200);
+}
+
 UptimeRecord uptime(std::int64_t at, std::uint64_t value) {
     return {206, TimePoint{at}, value};
 }

@@ -4,10 +4,19 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
+#include <unistd.h>
 
+#include <filesystem>
+#include <sstream>
+#include <string>
+
+#include "atlas/binary_bundle.hpp"
 #include "core/pipeline.hpp"
+#include "core/streaming_pipeline.hpp"
+#include "isp/presets.hpp"
 #include "netcore/error.hpp"
+#include "netcore/obs/metrics.hpp"
+#include "sim/faults.hpp"
 
 namespace dynaddr::core {
 namespace {
@@ -165,6 +174,43 @@ TEST(Robustness, AnalysisWindowNarrowerThanData) {
         bundle, table, registry,
         net::TimeInterval{kStart, kStart + Duration::days(30)});
     EXPECT_EQ(results.window.length(), Duration::days(30));
+}
+
+TEST(Robustness, GarbledBinaryBundleStreamsToTheEnd) {
+    // Garbled blocks that still decode hand the pipeline nonsense
+    // counters (negative sent/success pings); the analysis must get
+    // through them and finish rather than spin on one record.
+    namespace fs = std::filesystem;
+    auto config = isp::presets::quick_scenario();
+    const fs::path dir =
+        fs::temp_directory_path() /
+        ("dynaddr_garbled_stream_" + std::to_string(::getpid()));
+    fs::remove_all(dir);
+    isp::ScenarioResult scenario;
+    {
+        atlas::BinaryBundleWriter writer(dir.string());
+        config.bundle_sink = &writer;
+        scenario = isp::run_scenario(config);
+        config.bundle_sink = nullptr;
+        writer.close();
+    }
+    auto& rejected = obs::counter("faults.binary.rows_rejected");
+    const auto rejected_before = rejected.value();
+    sim::ScopedFaultInjector scope(
+        sim::FaultPlan::parse("garbage,csv.rate=0.01,seed=3"));
+    StreamingPipeline::Options options;
+    options.config.threads = 1;
+    StreamingPipeline pipeline(scenario.prefix_table, scenario.registry,
+                               options);
+    pipeline.open(config.window);
+    feed_binary_bundle(pipeline, dir.string());
+    const auto results = pipeline.finish();
+    fs::remove_all(dir);
+    EXPECT_GT(pipeline.probes_seen(), 0u);
+    EXPECT_GT(results.filter.total(), 0);
+    EXPECT_GT(rejected.value(), rejected_before)
+        << "the fault plan garbled nothing; the test no longer exercises "
+           "garbled input";
 }
 
 }  // namespace
