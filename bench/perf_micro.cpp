@@ -183,8 +183,8 @@ BENCHMARK(BM_BinaryLogParse);
 // live sink writes records in time order with probes interleaved, so every
 // probe switch closes a block: 1–2 records per block and an index that is
 // a quarter of the file. This streams such a bundle (5k probes, written
-// through BinaryBundleWriter in time order) in probe order, as `analyze
-// --streaming` reads it, so per-block costs show.
+// through BinaryBundleWriter in time order) in probe order, as `analyze`
+// reads a DAB2 bundle, so per-block costs show.
 void BM_StreamLiveSinkBundle(benchmark::State& state) {
     constexpr std::uint32_t kProbes = 5000;
     constexpr int kSteps = 12;
@@ -293,11 +293,13 @@ void BM_KRootEmit(benchmark::State& state) {
     timeline.finalize(window.end);
     const atlas::KRootSamplingPolicy policy =
         *isp::presets::outage_scenario().kroot;
-    std::vector<atlas::KRootPingRecord> records;
+    atlas::DatasetBundle bundle;
+    atlas::BundleCollector collector(bundle);
+    const std::vector<atlas::KRootPingRecord>& records = bundle.kroot_pings;
     for (auto _ : state) {
-        records.clear();
+        bundle.kroot_pings.clear();
         atlas::emit_kroot_records(timeline, window, policy, rng::Stream(7),
-                                  records);
+                                  collector);
         benchmark::DoNotOptimize(records.data());
         benchmark::ClobberMemory();
     }

@@ -52,19 +52,6 @@
 
 namespace dynaddr::atlas {
 
-/// Push-based consumer of dataset records. The simulator's controller
-/// emits into one of these when installed, letting the binary writer
-/// persist records as they happen instead of buffering a whole
-/// DatasetBundle in memory first.
-class BundleSink {
-public:
-    virtual ~BundleSink() = default;
-    virtual void add_connection(const ConnectionLogEntry& entry) = 0;
-    virtual void add_kroot(const KRootPingRecord& record) = 0;
-    virtual void add_uptime(const UptimeRecord& record) = 0;
-    virtual void add_probe(const ProbeMetadata& meta) = 0;
-};
-
 /// Streaming writer: appends records into per-probe columnar blocks,
 /// closing a block when it reaches `block_records` records or the
 /// incoming probe id changes. The four dataset files are opened at

@@ -2,9 +2,7 @@
 
 #include <vector>
 
-#include "atlas/binary_bundle.hpp"
 #include "atlas/datasets.hpp"
-#include "netcore/obs/memaccount.hpp"
 #include "netcore/rng.hpp"
 #include "sim/simulation.hpp"
 
@@ -14,15 +12,18 @@ class Probe;
 
 /// The RIPE Atlas central controller.
 ///
-/// Collects connection-log and uptime records from registered probes and
-/// distributes firmware releases. A release marks every probe
-/// pending-install (installed at its next natural connection break); a
-/// per-probe forced install at release + U(force_min, force_max) catches
-/// probes whose connections never break, which spreads installs over the
-/// 2-3 day spikes visible in the paper's Figure 6.
+/// Passes the connection-log and uptime records of registered probes to
+/// its sink as they happen and distributes firmware releases. A release
+/// marks every probe pending-install (installed at its next natural
+/// connection break); a per-probe forced install at release +
+/// U(force_min, force_max) catches probes whose connections never break,
+/// which spreads installs over the 2-3 day spikes visible in the paper's
+/// Figure 6.
 class Controller {
 public:
-    explicit Controller(sim::Simulation& sim, rng::Stream rng);
+    /// `sink` receives every recorded record and must outlive the
+    /// controller's recording.
+    Controller(sim::Simulation& sim, rng::Stream rng, BundleSink& sink);
 
     /// Registers a probe for firmware pushes. The probe must outlive the
     /// controller's scheduled events.
@@ -35,54 +36,25 @@ public:
     void set_force_window(net::Duration min, net::Duration max);
 
     // -- record sinks (called by probes) -----------------------------------
-    void record_connection(const ConnectionLogEntry& entry);
-    void record_uptime(const UptimeRecord& record);
-
-    /// Tees every recorded connection/uptime record into `sink` as it
-    /// happens (nullptr clears). A streaming BinaryBundleWriter installed
-    /// here flushes columnar blocks to disk while the simulation runs,
-    /// instead of waiting for the post-run drain. The sink must outlive
-    /// the controller's recording.
-    void set_sink(BundleSink* sink) { sink_ = sink; }
-
-    [[nodiscard]] const std::vector<ConnectionLogEntry>& connection_log() const {
-        return connection_log_;
+    void record_connection(const ConnectionLogEntry& entry) {
+        sink_->add_connection(entry);
     }
-    [[nodiscard]] const std::vector<UptimeRecord>& uptime_records() const {
-        return uptime_records_;
-    }
+    void record_uptime(const UptimeRecord& record) { sink_->add_uptime(record); }
+
     [[nodiscard]] const std::vector<net::TimePoint>& firmware_releases() const {
         return releases_;
     }
-
-    /// Moves the collected records into a bundle (leaves this empty).
-    void drain_into(DatasetBundle& bundle);
 
 private:
     void release_firmware(net::TimePoint when);
 
     sim::Simulation* sim_;
     rng::Stream rng_;
+    BundleSink* sink_;
     std::vector<Probe*> probes_;
-    std::vector<ConnectionLogEntry> connection_log_;
-    std::vector<UptimeRecord> uptime_records_;
     std::vector<net::TimePoint> releases_;
     net::Duration force_min_ = net::Duration::hours(12);
     net::Duration force_max_ = net::Duration::hours(60);
-    BundleSink* sink_ = nullptr;
-    /// Capacity accounting (mem.atlas.dataset_buffers): the centrally
-    /// buffered connection/uptime records — the dominant growth of a
-    /// non-streaming run — published amortized from the record sinks.
-    void note_mem_op() {
-        if ((++mem_ops_ & 1023) == 0) publish_mem();
-    }
-    void publish_mem() {
-        mem_.report(connection_log_.capacity() * sizeof(ConnectionLogEntry) +
-                        uptime_records_.capacity() * sizeof(UptimeRecord),
-                    connection_log_.size() + uptime_records_.size());
-    }
-    std::size_t mem_ops_ = 0;
-    obs::MemRegistration mem_{"atlas.dataset_buffers"};
 };
 
 }  // namespace dynaddr::atlas

@@ -133,6 +133,40 @@ void DatasetBundle::sort() {
                                  });
 }
 
+void BundleCollector::add_connection(const ConnectionLogEntry& entry) {
+    bundle_->connection_log.push_back(entry);
+    if (forward_ != nullptr) forward_->add_connection(entry);
+    note_mem_op();
+}
+
+void BundleCollector::add_kroot(const KRootPingRecord& record) {
+    bundle_->kroot_pings.push_back(record);
+    if (forward_ != nullptr) forward_->add_kroot(record);
+    note_mem_op();
+}
+
+void BundleCollector::add_uptime(const UptimeRecord& record) {
+    bundle_->uptime_records.push_back(record);
+    if (forward_ != nullptr) forward_->add_uptime(record);
+    note_mem_op();
+}
+
+void BundleCollector::add_probe(const ProbeMetadata& meta) {
+    bundle_->probes.push_back(meta);
+    if (forward_ != nullptr) forward_->add_probe(meta);
+    note_mem_op();
+}
+
+void BundleCollector::publish_mem() {
+    const DatasetBundle& b = *bundle_;
+    mem_.report(b.connection_log.capacity() * sizeof(ConnectionLogEntry) +
+                    b.kroot_pings.capacity() * sizeof(KRootPingRecord) +
+                    b.uptime_records.capacity() * sizeof(UptimeRecord) +
+                    b.probes.capacity() * sizeof(ProbeMetadata),
+                b.connection_log.size() + b.kroot_pings.size() +
+                    b.uptime_records.size() + b.probes.size());
+}
+
 void write_connection_log_csv(std::ostream& out,
                               const std::vector<ConnectionLogEntry>& entries) {
     csv::Writer writer(out, {"probe", "start", "end", "address"});

@@ -8,6 +8,7 @@
 
 #include "netcore/ipv4.hpp"
 #include "netcore/ipv6.hpp"
+#include "netcore/obs/memaccount.hpp"
 #include "netcore/time.hpp"
 
 namespace dynaddr::atlas {
@@ -60,6 +61,9 @@ struct ConnectionLogEntry {
     net::TimePoint start;  ///< connection establishment
     net::TimePoint end;    ///< last receipt of data
     PeerAddress address;   ///< publicly visible (CPE) address
+
+    friend bool operator==(const ConnectionLogEntry&,
+                           const ConnectionLogEntry&) = default;
 };
 
 /// One row of the k-root ping dataset (paper Table 3): every four minutes
@@ -71,6 +75,8 @@ struct KRootPingRecord {
     int sent = 3;
     int success = 3;
     std::int64_t lts_seconds = 0;  ///< seconds since last controller sync
+
+    friend bool operator==(const KRootPingRecord&, const KRootPingRecord&) = default;
 };
 
 /// One row of the SOS-uptime dataset (paper Table 4): the probe's
@@ -79,6 +85,8 @@ struct UptimeRecord {
     ProbeId probe = 0;
     net::TimePoint timestamp;
     std::uint64_t uptime_seconds = 0;
+
+    friend bool operator==(const UptimeRecord&, const UptimeRecord&) = default;
 };
 
 /// Probe metadata from the RIPE Atlas probe archive: the analysis uses the
@@ -89,6 +97,8 @@ struct ProbeMetadata {
     ProbeVersion version = ProbeVersion::V3;
     std::string country_code;        ///< ISO 3166-1 alpha-2
     std::vector<std::string> tags;   ///< e.g. "multihomed", "datacentre"
+
+    friend bool operator==(const ProbeMetadata&, const ProbeMetadata&) = default;
 };
 
 /// The bundle of datasets one simulation run (or one real-data import)
@@ -104,6 +114,48 @@ struct DatasetBundle {
     /// already strictly increasing in its key (the simulator's k-root
     /// records) is left as it is, which is what any sort would return.
     void sort();
+};
+
+/// Push-based consumer of dataset records: the simulator's one emission
+/// route. Every record run_scenario produces (connection and uptime
+/// records as the simulation emits them, k-root pings, special-probe logs,
+/// probe metadata) is handed to one sink exactly once.
+class BundleSink {
+public:
+    virtual ~BundleSink() = default;
+    virtual void add_connection(const ConnectionLogEntry& entry) = 0;
+    virtual void add_kroot(const KRootPingRecord& record) = 0;
+    virtual void add_uptime(const UptimeRecord& record) = 0;
+    virtual void add_probe(const ProbeMetadata& meta) = 0;
+};
+
+/// The in-memory bundle as a sink: appends each record to `bundle` and,
+/// when `forward` is set, passes it on (a streaming BinaryBundleWriter
+/// persists it as it arrives). Both must outlive the collector. The
+/// bundle's buffers are published as mem.atlas.dataset_buffers, amortized
+/// over the appends and exact after publish_mem().
+class BundleCollector final : public BundleSink {
+public:
+    explicit BundleCollector(DatasetBundle& bundle, BundleSink* forward = nullptr)
+        : bundle_(&bundle), forward_(forward) {}
+
+    void add_connection(const ConnectionLogEntry& entry) override;
+    void add_kroot(const KRootPingRecord& record) override;
+    void add_uptime(const UptimeRecord& record) override;
+    void add_probe(const ProbeMetadata& meta) override;
+
+    /// Publishes the bundle's current capacity (a phase boundary).
+    void publish_mem();
+
+private:
+    void note_mem_op() {
+        if ((++mem_ops_ & 1023) == 0) publish_mem();
+    }
+
+    DatasetBundle* bundle_;
+    BundleSink* forward_;
+    std::size_t mem_ops_ = 0;
+    obs::MemRegistration mem_{"atlas.dataset_buffers"};
 };
 
 /// CSV serialization, one file per dataset. Schemas:

@@ -91,7 +91,7 @@ std::size_t kroot_instant_count(const Timeline& timeline,
 
 void emit_kroot_records(const Timeline& timeline, net::TimeInterval window,
                         const KRootSamplingPolicy& policy, rng::Stream rng,
-                        std::vector<KRootPingRecord>& out) {
+                        BundleSink& out) {
     validate(timeline, policy);
     const std::vector<net::TimePoint> events = timeline.event_times();
     const std::vector<net::TimeInterval> dense = dense_windows(events, policy);
@@ -119,7 +119,7 @@ void emit_kroot_records(const Timeline& timeline, net::TimeInterval window,
                 lost_at = events[next_event];
         }
         if (probe_down.contains(t)) return;  // no probe, no measurement
-        KRootPingRecord& record = out.emplace_back();
+        KRootPingRecord record;
         record.probe = timeline.probe();
         record.timestamp = t;
         record.sent = 3;
@@ -134,6 +134,7 @@ void emit_kroot_records(const Timeline& timeline, net::TimeInterval window,
             const net::TimePoint since = lost_at.value_or(window.begin);
             record.lts_seconds = (t - since).count() + rng.uniform_int(0, 235);
         }
+        out.add_kroot(record);
     };
 
     // Walk the dense grid, visiting a point when it lies on the sparse grid

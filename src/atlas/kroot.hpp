@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <utility>
 #include <vector>
 
 #include "atlas/datasets.hpp"
@@ -29,7 +30,7 @@ struct KRootSamplingPolicy {
     double partial_loss_probability = 0.002;
 };
 
-/// Appends the k-root ping records of one probe over `window` to `out`.
+/// Emits the k-root ping records of one probe over `window` into `out`.
 /// The timeline must be finalized. Records are emitted only while the
 /// probe is running (a powered-off probe measures nothing); all pings fail
 /// when the network is down or no address is held, and the LTS value grows
@@ -43,19 +44,20 @@ struct KRootSamplingPolicy {
 /// the instants come from merging the sparse grid with the dense windows,
 /// and probe, network and address state from forward-only cursors over the
 /// timeline's sorted, disjoint intervals (the Timeline builder contract),
-/// so the cost is O(records + events). Records are appended in strictly
+/// so the cost is O(records + events). Records are emitted in strictly
 /// increasing timestamp order.
 void emit_kroot_records(const Timeline& timeline, net::TimeInterval window,
                         const KRootSamplingPolicy& policy, rng::Stream rng,
-                        std::vector<KRootPingRecord>& out);
+                        BundleSink& out);
 
 /// Convenience form returning the records of one probe.
 inline std::vector<KRootPingRecord> emit_kroot_records(
     const Timeline& timeline, net::TimeInterval window,
     const KRootSamplingPolicy& policy, rng::Stream rng) {
-    std::vector<KRootPingRecord> records;
-    emit_kroot_records(timeline, window, policy, rng, records);
-    return records;
+    DatasetBundle bundle;
+    BundleCollector collector(bundle);
+    emit_kroot_records(timeline, window, policy, rng, collector);
+    return std::move(bundle.kroot_pings);
 }
 
 /// The number of sampling instants emit_kroot_records visits for

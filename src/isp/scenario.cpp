@@ -1,4 +1,5 @@
 #include <deque>
+#include <iterator>
 #include <unordered_map>
 
 #include "atlas/controller.hpp"
@@ -22,8 +23,8 @@ namespace {
 
 /// All heap-pinned simulation objects; deques keep addresses stable.
 struct World {
-    explicit World(net::TimePoint start, rng::Stream rng)
-        : sim(start), controller(sim, rng) {}
+    World(net::TimePoint start, rng::Stream rng, atlas::BundleSink& sink)
+        : sim(start), controller(sim, rng, sink) {}
 
     sim::Simulation sim;
     atlas::Controller controller;
@@ -106,9 +107,11 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
     if (faults != nullptr) faults->set_window(config.window);
 
     rng::Stream root(config.seed);
-    World world(config.window.begin, root.child("controller"));
-    world.controller.set_sink(config.bundle_sink);
     ScenarioResult result;
+    // Every dataset record leaves through this one sink: into the bundle,
+    // and on to the caller's sink when one is set.
+    atlas::BundleCollector datasets(result.bundle, config.bundle_sink);
+    World world(config.window.begin, root.child("controller"), datasets);
     // Phase boundaries recorded manually: the build/run/emit phases are
     // sequential regions of this one function, not nested scopes.
     const std::uint64_t build_start_us = obs::trace_now_us();
@@ -246,7 +249,7 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
                         : isp.countries;
                 meta.country_code = countries[std::size_t(probe_rng.uniform_int(
                     0, std::int64_t(countries.size()) - 1))];
-                result.bundle.probes.push_back(std::move(meta));
+                datasets.add_probe(meta);
             }
         }
     }
@@ -310,7 +313,7 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
             meta.probe = probe_id;
             meta.version = probe_config.version;
             meta.country_code = isp_a.countries.empty() ? "DE" : isp_a.countries.front();
-            result.bundle.probes.push_back(std::move(meta));
+            datasets.add_probe(meta);
         }
     }
 
@@ -428,26 +431,19 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
     for (auto& probe : world.probes) probe.flush_open_connection(config.window.end);
 
     for (auto& timeline : world.timelines) timeline.finalize(config.window.end);
-    world.controller.drain_into(result.bundle);
 
     if (config.kroot) {
-        // Emitted straight into the bundle, sized once for every probe's
-        // sampling instants; the sink reads each probe's appended range.
-        auto& kroot = result.bundle.kroot_pings;
-        std::size_t instants = kroot.size();
+        // Sized once for every probe's sampling instants: growing by
+        // doubling would briefly hold two copies of the largest dataset.
+        std::size_t instants = 0;
         for (const auto& timeline : world.timelines)
             instants += atlas::kroot_instant_count(timeline, config.window,
                                                    *config.kroot);
-        kroot.reserve(instants);
+        result.bundle.kroot_pings.reserve(instants);
         const auto kroot_rng = root.child("kroot");
-        for (const auto& timeline : world.timelines) {
-            const std::size_t first = kroot.size();
+        for (const auto& timeline : world.timelines)
             atlas::emit_kroot_records(timeline, config.window, *config.kroot,
-                                      kroot_rng.child(timeline.probe()), kroot);
-            if (config.bundle_sink != nullptr)
-                for (std::size_t i = first; i < kroot.size(); ++i)
-                    config.bundle_sink->add_kroot(kroot[i]);
-        }
+                                      kroot_rng.child(timeline.probe()), datasets);
     }
 
     // -- special probes ---------------------------------------------------------
@@ -471,20 +467,16 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
             if (behaviour == atlas::SpecialBehaviour::DualStack ||
                 behaviour == atlas::SpecialBehaviour::Ipv6Only)
                 spec.mean_session = net::Duration::hours(8);
-            auto log = atlas::generate_special_probe_log(spec, config.window,
-                                                         sp_rng.child("log"));
-            if (config.bundle_sink != nullptr)
-                for (const auto& entry : log)
-                    config.bundle_sink->add_connection(entry);
-            result.bundle.connection_log.insert(result.bundle.connection_log.end(),
-                                                log.begin(), log.end());
+            for (const auto& entry : atlas::generate_special_probe_log(
+                     spec, config.window, sp_rng.child("log")))
+                datasets.add_connection(entry);
             atlas::ProbeMetadata meta;
             meta.probe = spec.id;
             meta.version = atlas::ProbeVersion::V3;
             meta.country_code = kSpecialCountries[sp_rng.uniform_int(
                 0, std::int64_t(std::size(kSpecialCountries)) - 1)];
             meta.tags = tags;
-            result.bundle.probes.push_back(std::move(meta));
+            datasets.add_probe(meta);
 
             ProbeTruth truth;
             truth.probe = spec.id;
@@ -505,26 +497,26 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
     add_specials(mix.testing_then_stable,
                  atlas::SpecialBehaviour::TestingAddressThenStable, {});
 
-    // -- RADIUS ground truth ------------------------------------------------
+    // -- ground truth ---------------------------------------------------------
+    // Moved out, not copied: the k-root sweep above was the last reader,
+    // and the probes and CPEs that still point at the timelines only die
+    // with the World.
     for (std::size_t i = 0; i < config.isps.size(); ++i) {
         for (const auto& backend : backends[i]) {
             if (backend.radius == nullptr) continue;
-            auto& sink = result.radius_records[config.isps[i].asn];
-            const auto& records = backend.radius->records();
-            sink.insert(sink.end(), records.begin(), records.end());
+            auto& records = result.radius_records[config.isps[i].asn];
+            auto taken = backend.radius->take_records();
+            if (records.empty())
+                records = std::move(taken);
+            else
+                records.insert(records.end(), taken.begin(), taken.end());
         }
     }
-
-    // -- ground-truth timelines ----------------------------------------------
-    result.timelines.assign(world.timelines.begin(), world.timelines.end());
-
-    // Metadata goes to the sink in one pass at the end (pushes above keep
-    // ascending probe-id order), so the writer emits one block run per probe.
-    if (config.bundle_sink != nullptr)
-        for (const auto& meta : result.bundle.probes)
-            config.bundle_sink->add_probe(meta);
+    result.timelines.assign(std::make_move_iterator(world.timelines.begin()),
+                            std::make_move_iterator(world.timelines.end()));
 
     result.bundle.sort();
+    datasets.publish_mem();
     if (obs::trace_enabled())
         obs::record_complete_event("scenario.emit", "scenario", emit_start_us,
                                    obs::trace_now_us() - emit_start_us);

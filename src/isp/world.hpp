@@ -6,7 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "atlas/binary_bundle.hpp"
 #include "atlas/cpe.hpp"
 #include "atlas/datasets.hpp"
 #include "atlas/kroot.hpp"
@@ -123,10 +122,11 @@ struct ScenarioConfig {
     /// this field is ignored.
     std::optional<sim::FaultPlan> faults;
     /// Optional streaming dataset sink (e.g. atlas::BinaryBundleWriter).
-    /// Connection/uptime records tee into it live as the simulation emits
-    /// them; k-root pings, special-probe logs and probe metadata follow at
-    /// scrape time. The caller owns the sink (and closes it) after
-    /// run_scenario returns; the in-memory bundle is still produced.
+    /// It sees each record once, in emission order: probe metadata as
+    /// probes are built, connection and uptime records live as the
+    /// simulation emits them, then the window-end flush, k-root pings and
+    /// special-probe logs. The caller owns the sink (and closes it) after
+    /// run_scenario returns; ScenarioResult::bundle is filled either way.
     atlas::BundleSink* bundle_sink = nullptr;
 };
 

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <optional>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "netcore/ipv4.hpp"
@@ -80,6 +81,10 @@ public:
     /// All completed sessions, in stop order.
     [[nodiscard]] const std::vector<AccountingRecord>& records() const {
         return records_;
+    }
+    /// Moves the completed sessions out, leaving the server's list empty.
+    [[nodiscard]] std::vector<AccountingRecord> take_records() {
+        return std::exchange(records_, {});
     }
 
     /// Number of currently open sessions.

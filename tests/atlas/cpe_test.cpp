@@ -31,7 +31,8 @@ struct Rig {
                                        ? std::optional(Duration::hours(24))
                                        : std::nullopt},
                  pool, sim),
-          controller(sim, rng::Stream(seed + 1)),
+          datasets(bundle),
+          controller(sim, rng::Stream(seed + 1), datasets),
           timeline(1),
           probe(make_probe_config(), sim, rng::Stream(seed + 2), controller,
                 timeline),
@@ -51,6 +52,8 @@ struct Rig {
     pool::AddressPool pool;
     dhcp::Server dhcp_server;
     ppp::RadiusServer radius;
+    DatasetBundle bundle;
+    BundleCollector datasets;
     Controller controller;
     Timeline timeline;
     Probe probe;

@@ -54,9 +54,11 @@ std::size_t expect_matches_reference(const Timeline& timeline,
                                      std::uint64_t seed) {
     const auto expected =
         reference_kroot_records(timeline, window, policy, rng::Stream(seed));
-    std::vector<KRootPingRecord> actual;
-    actual.push_back(KRootPingRecord{});  // appends after what is there
-    emit_kroot_records(timeline, window, policy, rng::Stream(seed), actual);
+    DatasetBundle bundle;
+    bundle.kroot_pings.push_back(KRootPingRecord{});  // appends after what is there
+    BundleCollector collector(bundle);
+    emit_kroot_records(timeline, window, policy, rng::Stream(seed), collector);
+    const std::vector<KRootPingRecord>& actual = bundle.kroot_pings;
     EXPECT_EQ(actual.size(), expected.size() + 1);
     for (std::size_t i = 0; i < expected.size() && i + 1 < actual.size(); ++i) {
         const std::string want = describe(expected[i]);

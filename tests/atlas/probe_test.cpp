@@ -19,7 +19,8 @@ struct Rig {
     explicit Rig(ProbeVersion version = ProbeVersion::V3,
                  double frag_probability = 0.0)
         : sim(TimePoint{0}),
-          controller(sim, rng::Stream(1)),
+          datasets(bundle),
+          controller(sim, rng::Stream(1), datasets),
           timeline(7),
           probe(make_config(version, frag_probability), sim, rng::Stream(2),
                 controller, timeline) {
@@ -43,6 +44,8 @@ struct Rig {
     }
 
     sim::Simulation sim;
+    DatasetBundle bundle;
+    BundleCollector datasets;
     Controller controller;
     Timeline timeline;
     Probe probe;
@@ -52,8 +55,8 @@ TEST(Probe, ConnectsAfterBootAndReportsUptime) {
     Rig rig;
     rig.bring_up(v4(1));
     EXPECT_TRUE(rig.probe.connected());
-    ASSERT_EQ(rig.controller.uptime_records().size(), 1u);
-    const auto& record = rig.controller.uptime_records()[0];
+    ASSERT_EQ(rig.bundle.uptime_records.size(), 1u);
+    const auto& record = rig.bundle.uptime_records[0];
     // Uptime counts from boot start (t=0).
     EXPECT_EQ(record.uptime_seconds,
               std::uint64_t(record.timestamp.unix_seconds()));
@@ -66,8 +69,9 @@ TEST(Probe, AddressChangeBreaksConnectionAfterTcpTimeout) {
     rig.probe.wan_update(v4(2));
     EXPECT_TRUE(rig.probe.connected()) << "TCP lingers until retransmission death";
     rig.sim.run_until(change_at + Duration::minutes(40));
-    ASSERT_EQ(rig.controller.connection_log().size(), 1u);
-    const auto& entry = rig.controller.connection_log()[0];
+    ASSERT_EQ(rig.bundle.connection_log.size(), 1u);
+    // A copy: the flush below appends to the log and may reallocate it.
+    const ConnectionLogEntry entry = rig.bundle.connection_log[0];
     EXPECT_EQ(entry.address, v4(1));
     // End is logged at/just before the change (last receipt of data).
     EXPECT_LE(entry.end, change_at);
@@ -76,7 +80,8 @@ TEST(Probe, AddressChangeBreaksConnectionAfterTcpTimeout) {
     EXPECT_TRUE(rig.probe.connected());
     // The inter-connection gap is the paper's 15-25 minute TCP timeout.
     rig.probe.power_off();  // flush second entry
-    const auto& second = rig.controller.connection_log()[1];
+    ASSERT_EQ(rig.bundle.connection_log.size(), 2u);
+    const auto& second = rig.bundle.connection_log[1];
     EXPECT_EQ(second.address, v4(2));
     const auto gap = second.start - entry.end;
     EXPECT_GE(gap, Duration::minutes(15) - Duration::seconds(180));
@@ -92,7 +97,7 @@ TEST(Probe, ShortBlipOnSameAddressKeepsConnection) {
     rig.probe.wan_update(v4(1));
     rig.sim.run_until(rig.sim.now() + Duration::hours(1));
     EXPECT_TRUE(rig.probe.connected());
-    EXPECT_TRUE(rig.controller.connection_log().empty())
+    EXPECT_TRUE(rig.bundle.connection_log.empty())
         << "surviving connection produces no log entry";
 }
 
@@ -102,7 +107,7 @@ TEST(Probe, LongOutageBreaksEvenWithSameAddress) {
     rig.probe.wan_update(std::nullopt);
     rig.sim.run_until(rig.sim.now() + Duration::hours(1));
     EXPECT_FALSE(rig.probe.connected());
-    EXPECT_EQ(rig.controller.connection_log().size(), 1u);
+    EXPECT_EQ(rig.bundle.connection_log.size(), 1u);
     rig.probe.wan_update(v4(1));
     rig.sim.run_until(rig.sim.now() + Duration::minutes(5));
     EXPECT_TRUE(rig.probe.connected());
@@ -114,7 +119,7 @@ TEST(Probe, PowerCycleRecordsBootAndDownInterval) {
     const TimePoint off_at = rig.sim.now();
     rig.probe.power_off();
     EXPECT_FALSE(rig.probe.connected());
-    EXPECT_EQ(rig.controller.connection_log().size(), 1u);
+    EXPECT_EQ(rig.bundle.connection_log.size(), 1u);
     rig.sim.run_until(off_at + Duration::minutes(10));
     rig.probe.power_on(RebootCause::PowerCycle);
     rig.sim.run_until(rig.sim.now() + Duration::minutes(10));
@@ -126,8 +131,8 @@ TEST(Probe, PowerCycleRecordsBootAndDownInterval) {
     // Probe-down intervals: pre-boot and the outage window.
     ASSERT_GE(rig.timeline.probe_down_intervals().size(), 2u);
     // Uptime counter reset: second uptime record is smaller than elapsed.
-    ASSERT_EQ(rig.controller.uptime_records().size(), 2u);
-    EXPECT_LT(rig.controller.uptime_records()[1].uptime_seconds,
+    ASSERT_EQ(rig.bundle.uptime_records.size(), 2u);
+    EXPECT_LT(rig.bundle.uptime_records[1].uptime_seconds,
               std::uint64_t(rig.sim.now().unix_seconds()));
 }
 
@@ -191,7 +196,9 @@ TEST(Probe, V3NeverFragmentReboots) {
 
 TEST(Controller, FirmwareReleaseReachesAllProbes) {
     sim::Simulation sim(TimePoint{0});
-    Controller controller(sim, rng::Stream(1));
+    DatasetBundle bundle;
+    BundleCollector datasets(bundle);
+    Controller controller(sim, rng::Stream(1), datasets);
     controller.set_force_window(Duration::hours(1), Duration::hours(2));
     Timeline t1(1), t2(2);
     ProbeConfig c1;

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/pipeline.hpp"
 #include "core/report.hpp"
 #include "isp/presets.hpp"
 #include "netcore/obs/metrics.hpp"
+#include "sim/faults.hpp"
 
 namespace dynaddr {
 namespace {
@@ -339,6 +342,70 @@ TEST(WheelInvariant, OutagePresetNeverLateInserts) {
 
 TEST(WheelInvariant, PaperPresetNeverLateInserts) {
     expect_no_late_inserts(isp::presets::paper_scenario());
+}
+
+// -- the emission route ------------------------------------------------------
+// run_scenario hands every record to one sink; a caller's bundle_sink must
+// see exactly what ScenarioResult::bundle holds, dataset by dataset.
+
+/// Keeps whatever it is sent, in arrival order.
+class RecordingSink final : public atlas::BundleSink {
+public:
+    void add_connection(const atlas::ConnectionLogEntry& entry) override {
+        seen.connection_log.push_back(entry);
+    }
+    void add_kroot(const atlas::KRootPingRecord& record) override {
+        seen.kroot_pings.push_back(record);
+    }
+    void add_uptime(const atlas::UptimeRecord& record) override {
+        seen.uptime_records.push_back(record);
+    }
+    void add_probe(const atlas::ProbeMetadata& meta) override {
+        seen.probes.push_back(meta);
+    }
+
+    atlas::DatasetBundle seen;
+};
+
+template <typename Record>
+void expect_same_records(const std::vector<Record>& seen,
+                         const std::vector<Record>& bundle, const char* dataset) {
+    ASSERT_EQ(seen.size(), bundle.size()) << dataset;
+    const auto mismatch = std::mismatch(seen.begin(), seen.end(), bundle.begin());
+    EXPECT_EQ(mismatch.first, seen.end())
+        << dataset << ": first difference at record "
+        << (mismatch.first - seen.begin());
+}
+
+void expect_sink_sees_the_bundle(isp::ScenarioConfig config) {
+    RecordingSink sink;
+    config.bundle_sink = &sink;
+    const auto scenario = isp::run_scenario(config);
+    sink.seen.sort();
+    expect_same_records(sink.seen.connection_log, scenario.bundle.connection_log,
+                        "connection_log");
+    expect_same_records(sink.seen.kroot_pings, scenario.bundle.kroot_pings,
+                        "kroot");
+    expect_same_records(sink.seen.uptime_records, scenario.bundle.uptime_records,
+                        "uptime");
+    expect_same_records(sink.seen.probes, scenario.bundle.probes, "probes");
+    EXPECT_FALSE(scenario.bundle.connection_log.empty());
+    EXPECT_FALSE(scenario.bundle.kroot_pings.empty());
+    EXPECT_FALSE(scenario.bundle.uptime_records.empty());
+}
+
+TEST(BundleSinkTee, QuickPresetSinkSeesTheBundle) {
+    expect_sink_sees_the_bundle(isp::presets::quick_scenario());
+}
+
+TEST(BundleSinkTee, OutagePresetSinkSeesTheBundle) {
+    expect_sink_sees_the_bundle(isp::presets::outage_scenario());
+}
+
+TEST(BundleSinkTee, OutagePresetUnderChaosSinkSeesTheBundle) {
+    auto config = isp::presets::outage_scenario();
+    config.faults = sim::FaultPlan::parse("chaos,seed=7");
+    expect_sink_sees_the_bundle(config);
 }
 
 }  // namespace

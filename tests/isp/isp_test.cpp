@@ -39,7 +39,9 @@ TEST(OutageModel, RatesRoughlyMatchConfiguration) {
                              pool::AllocationStrategy::Sticky, 0.0, 0.0},
             rng::Stream(1));
         dhcp::Server server({}, pool, probe.sim);
-        atlas::Controller controller(probe.sim, rng::Stream(2));
+        atlas::DatasetBundle bundle;
+        atlas::BundleCollector datasets(bundle);
+        atlas::Controller controller(probe.sim, rng::Stream(2), datasets);
         atlas::Timeline timeline(1);
         atlas::ProbeConfig probe_config;
         probe_config.id = 1;
@@ -68,7 +70,9 @@ TEST(OutageModel, SameKindOutagesNeverOverlapAndStayInWindow) {
                          pool::AllocationStrategy::Sticky, 0.0, 0.0},
         rng::Stream(1));
     dhcp::Server server({}, pool, probe.sim);
-    atlas::Controller controller(probe.sim, rng::Stream(2));
+    atlas::DatasetBundle bundle;
+    atlas::BundleCollector datasets(bundle);
+    atlas::Controller controller(probe.sim, rng::Stream(2), datasets);
     atlas::Timeline timeline(1);
     atlas::ProbeConfig probe_config;
     probe_config.id = 1;
@@ -106,7 +110,9 @@ TEST(OutageModel, MixtureCoversShortAndLongBins) {
                          pool::AllocationStrategy::Sticky, 0.0, 0.0},
         rng::Stream(1));
     dhcp::Server server({}, pool, probe.sim);
-    atlas::Controller controller(probe.sim, rng::Stream(2));
+    atlas::DatasetBundle bundle;
+    atlas::BundleCollector datasets(bundle);
+    atlas::Controller controller(probe.sim, rng::Stream(2), datasets);
     atlas::Timeline timeline(1);
     atlas::ProbeConfig probe_config;
     probe_config.id = 1;

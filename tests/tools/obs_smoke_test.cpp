@@ -125,8 +125,9 @@ TEST_F(ObsSmoke, MemReportWritesReconciliationJson) {
     EXPECT_NE(text.find("sim.event_queue"), std::string::npos);
     EXPECT_NE(text.find("pool.address_pool"), std::string::npos);
 
-    // `analyze --streaming` runs no scenario; its report must still account
-    // for the DAB2 reader's block index, probe order and block buffers.
+    // `analyze` of a DAB2 bundle streams it and runs no scenario; its report
+    // must still account for the DAB2 reader's block index, probe order and
+    // block buffers.
     const fs::path bundle = dir_ / "bundle";
     const fs::path analyze_report = dir_ / "analyze_mem.json";
     const std::string simulate = std::string(DYNADDR_CLI_PATH) +
@@ -135,7 +136,7 @@ TEST_F(ObsSmoke, MemReportWritesReconciliationJson) {
                                  " > /dev/null 2>&1";
     ASSERT_EQ(std::system(simulate.c_str()), 0) << simulate;
     const std::string analyze = std::string(DYNADDR_CLI_PATH) +
-                                " analyze --streaming --data " +
+                                " analyze --data " +
                                 bundle.string() + " --mem-report " +
                                 analyze_report.string() + " > /dev/null 2>&1";
     ASSERT_EQ(std::system(analyze.c_str()), 0) << analyze;

@@ -7,14 +7,14 @@
 //       --format binary the columnar DAB2 bundle is flushed incrementally
 //       while the simulation runs (atlas::BinaryBundleWriter tee).
 //
-//   dynaddr analyze --data DIR [--report LIST] [--streaming]
-//       Loads a bundle (simulated or real; CSV or DAB2, auto-detected).
-//       IP-to-AS context comes from pfx2as_YYYY-MM.txt files and
-//       registry.csv in DIR when present. LIST is comma-separated from:
+//   dynaddr analyze --data DIR [--report LIST]
+//       Analyses a bundle (simulated or real). A DAB2 bundle is fed probe
+//       by probe through core::StreamingPipeline (O(probes) memory); a
+//       CSV bundle is loaded whole and run through the batch pipeline.
+//       Both give byte-identical reports for the same data. IP-to-AS
+//       context comes from pfx2as_YYYY-MM.txt files and registry.csv in
+//       DIR when present. LIST is comma-separated from:
 //       summary,table2,table5,table6,table7,admin,all (default all).
-//       --streaming feeds a DAB2 bundle probe by probe through
-//       core::StreamingPipeline (O(probes) memory) — results are
-//       byte-identical to the batch path.
 //
 //   dynaddr convert --in DIR --out DIR [--to csv|binary]
 //       Translates a bundle between the CSV and DAB2 representations
@@ -89,7 +89,7 @@ int usage() {
         "       (--cause-ledger streams ground-truth cause records to FILE;\n"
         "        .csv extension -> CSV, anything else -> DCL1 columnar)\n"
         "  dynaddr analyze  --data DIR [--report summary,table2,table5,"
-        "table6,table7,admin,causes,all] [--threads N] [--streaming]\n"
+        "table6,table7,admin,causes,all] [--threads N]\n"
         "                   [--audit LEDGER]\n"
         "       (--audit joins inferred causes against the ledger's ground\n"
         "        truth and prints the per-cause confusion matrix)\n"
@@ -132,9 +132,7 @@ int usage() {
 }
 
 /// Flags whose value is optional (`--flag` alone means "on, defaults").
-bool valueless_ok(const std::string& name) {
-    return name == "flight-recorder" || name == "streaming";
-}
+bool valueless_ok(const std::string& name) { return name == "flight-recorder"; }
 
 std::map<std::string, std::string> parse_flags(int argc, char** argv, int from) {
     std::map<std::string, std::string> flags;
@@ -142,11 +140,16 @@ std::map<std::string, std::string> parse_flags(int argc, char** argv, int from) 
         const std::string arg = argv[i];
         if (arg.rfind("--", 0) != 0) throw Error("bad argument '" + arg + "'");
         // Both --flag=value and --flag value.
-        if (const auto eq = arg.find('='); eq != std::string::npos) {
-            flags[arg.substr(2, eq - 2)] = arg.substr(eq + 1);
+        const auto eq = arg.find('=');
+        const std::string name =
+            arg.substr(2, eq == std::string::npos ? eq : eq - 2);
+        if (name == "streaming")
+            throw Error("--streaming was removed: analyze streams a DAB2 bundle "
+                        "by default");
+        if (eq != std::string::npos) {
+            flags[name] = arg.substr(eq + 1);
             continue;
         }
-        const std::string name = arg.substr(2);
         // A valueless flag consumes the next argument only when it does
         // not look like another flag.
         if (valueless_ok(name) &&
@@ -341,17 +344,17 @@ bgp::AsRegistry load_context_registry(const fs::path& dir) {
     const fs::path path = dir / "registry.csv";
     if (!fs::exists(path)) return registry;
     std::ifstream in(path);
-    csv::Reader reader(in);
+    csv::ScanReader reader(in);
     const auto c_asn = reader.column("asn");
     const auto c_name = reader.column("name");
     const auto c_country = reader.column("country");
     const auto c_continent = reader.column("continent");
-    while (auto row = reader.next_row()) {
+    while (const auto* row = reader.next_row()) {
         bgp::AsInfo info;
-        info.asn = std::uint32_t(std::stoul((*row)[c_asn]));
+        info.asn = std::uint32_t(std::stoul(std::string((*row)[c_asn])));
         info.name = (*row)[c_name];
         info.country_code = (*row)[c_country];
-        const std::string& code = (*row)[c_continent];
+        const std::string_view code = (*row)[c_continent];
         using bgp::Continent;
         info.continent = code == "NA"   ? Continent::NorthAmerica
                          : code == "AS" ? Continent::Asia
@@ -509,31 +512,25 @@ int cmd_analyze(const std::map<std::string, std::string>& flags) {
         DYNADDR_LOG(Warn, cli, "no pfx2as_YYYY-MM.txt files in ", dir.string(),
                     "; AS-level analyses will be empty");
 
-    if (flags.contains("streaming") &&
-        atlas::binary_bundle_present(dir.string())) {
-        // Probe-by-probe ingestion: O(probes) memory, byte-identical
-        // results to the batch path below.
+    core::AnalysisResults results;
+    if (atlas::binary_bundle_present(dir.string())) {
+        // Probe-by-probe ingestion: O(probes) memory. No report reads the
+        // cleaned per-probe logs, so they are not kept.
         core::StreamingPipeline::Options options;
         options.config = pipeline_config(flags);
+        options.keep_analyzable_logs = false;
         core::StreamingPipeline pipeline(table, registry, options);
         pipeline.open();
         core::feed_binary_bundle(pipeline, dir.string());
-        const auto results = pipeline.finish();
+        results = pipeline.finish();
         DYNADDR_LOG(Info, cli, "streamed binary bundle: ",
                     pipeline.probes_seen(), " probes, peak ",
                     pipeline.peak_buffered_records(), " buffered records");
-        print_reports(results, table, registry, report_list);
-        if (auto it = flags.find("audit"); it != flags.end())
-            print_audit(results, table, registry, it->second);
-        return 0;
+    } else {
+        const auto bundle = atlas::read_bundle(dir.string());
+        results = core::AnalysisPipeline(pipeline_config(flags))
+                      .run(bundle, table, registry);
     }
-    if (flags.contains("streaming"))
-        DYNADDR_LOG(Warn, cli, "--streaming needs a binary bundle in ",
-                    dir.string(), "; falling back to the batch reader");
-
-    const auto bundle = atlas::read_bundle_auto(dir.string());
-    core::AnalysisPipeline pipeline(pipeline_config(flags));
-    const auto results = pipeline.run(bundle, table, registry);
     print_reports(results, table, registry, report_list);
     if (auto it = flags.find("audit"); it != flags.end())
         print_audit(results, table, registry, it->second);
